@@ -1,45 +1,20 @@
 //! # crowd-bench
 //!
-//! Criterion benchmarks for the reproduction: one benchmark group per
-//! table/figure of the paper (`benches/figures.rs`, `benches/tables.rs`)
-//! plus microbenchmarks of the core algorithms (`benches/algorithms.rs`).
+//! The benchmark pipelines behind the committed baselines:
 //!
-//! Run with `cargo bench -p crowd-bench`. The figure/table benches execute
-//! the same code paths as the `repro` binary at a reduced scale, so their
-//! wall-clock numbers double as a regression guard on the experiment
-//! harness itself.
+//! * the `bench` binary (see [`pipeline`]) — Algorithm 1, its filter
+//!   (sequential and parallel) and 2-MaxFind per size tier, whose
+//!   deterministic metadata half is committed as `BENCH_results.json`
+//!   and diffed in CI;
+//! * the `serve_load` binary (see [`serve_load`]) — crowd-serve under
+//!   fixed load scenarios, committed as `SERVE_results.json`.
 //!
-//! The crate also ships the `bench` binary (see [`pipeline`]): a
-//! reproducible benchmark pipeline whose deterministic metadata half is
-//! committed as `BENCH_results.json` and diffed in CI.
+//! Repeated, per-layer wall-clock timing lives in the repository
+//! benchmark (`perfbench/`), whose traced run times every layer from the
+//! comparison kernel to a crowd-serve tick.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod pipeline;
 pub mod serve_load;
-
-use crowd_core::element::Instance;
-use crowd_core::model::{ExpertModel, TiePolicy};
-use crowd_core::oracle::SimulatedOracle;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// A planted benchmark instance with its oracle, at the paper's default
-/// worker parameters.
-pub fn bench_oracle(
-    n: usize,
-    un: usize,
-    ue: usize,
-    seed: u64,
-) -> (Instance, SimulatedOracle<StdRng>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let planted = crowd_datasets::synthetic::planted_instance(n, un, ue, &mut rng);
-    let model = ExpertModel::exact(planted.delta_n, planted.delta_e, TiePolicy::UniformRandom);
-    let oracle = SimulatedOracle::new(
-        planted.instance.clone(),
-        model,
-        StdRng::seed_from_u64(seed ^ 1),
-    );
-    (planted.instance, oracle)
-}

@@ -8,9 +8,12 @@
 //! 2. **doomed** — the same run with a [`ChaosPlan`] armed at one
 //!    [`InjectionPoint`]; the crash freezes its durable journal;
 //! 3. **resumed** — [`resume_job`] on the crash's durable bytes: the
-//!    journaled batches replay on a fresh platform (audited against the
-//!    checkpoints and the `crowd_core::replay` transcript), then the run
-//!    continues live.
+//!    journaled batches replay on a fresh platform, then the run
+//!    continues live. The journal's resume audit (see
+//!    `crowd_platform::journal`) holds the new journal to the crashed
+//!    one frame for frame; a frame it appends differently, or a crashed
+//!    frame it never reproduces by the time the job ends, makes the
+//!    trial diverge.
 //!
 //! The equivalence claim is checked at the byte level: the resumed run's
 //! algorithm outcome, final journal bytes, comparison tally, ledger spend,
@@ -36,8 +39,8 @@ use crowd_core::element::ElementId;
 use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
 use crowd_obs::{install_recorder, Event, Recorder};
 use crowd_platform::{
-    recover, resume_job, ChaosPlan, CheckpointPolicy, InjectionPoint, JournaledOracle, Platform,
-    PlatformConfig, RetryPolicy, WorkerPool,
+    recover, resume_job, ChaosPlan, CheckpointPolicy, InjectionPoint, Journal, JournaledOracle,
+    Platform, PlatformConfig, ResumeOracle, RetryPolicy, WorkerPool,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -273,15 +276,10 @@ pub fn run_trial_artifacts(
             resumed: None,
         };
     };
-    let (resumed_out, replayed, diverged, res_journal, res_platform) = {
+    let (resumed_out, (replayed, diverged, res_journal, res_platform)) = {
         let _guard = install_recorder(resumed_rec.clone());
         let out = drive(&mut resumed, &ids, un, trial_seed);
-        let replayed = resumed.replayed_comparisons();
-        let diverged = resumed.diverged().is_some();
-        let mut inner = resumed.into_inner();
-        inner.finish();
-        let (journal, platform) = inner.into_parts();
-        (out, replayed, diverged, journal, platform)
+        (out, end_resumed(resumed))
     };
 
     let identical = !diverged
@@ -316,6 +314,20 @@ pub fn run_trial_artifacts(
             journal_bytes: res_journal.durable().len() as u64,
         }),
     }
+}
+
+/// Ends a resumed leg once its job has ended: finishes the journal, which
+/// closes the resume audit — a crashed journal still holding frames the
+/// run never re-appended counts as divergence — and returns the replayed
+/// comparisons, the divergence verdict, and the final journal and
+/// platform.
+fn end_resumed(resumed: ResumeOracle<StdRng>) -> (u64, bool, Journal, Platform<StdRng>) {
+    let replayed = resumed.replayed_comparisons();
+    let mut inner = resumed.into_inner();
+    inner.finish();
+    let diverged = inner.journal().diverged().is_some();
+    let (journal, platform) = inner.into_parts();
+    (replayed, diverged, journal, platform)
 }
 
 /// One aggregated sweep point: an injection-point kind at one fault rate.
@@ -455,6 +467,7 @@ mod tests {
     use crowd_core::element::{ElementId, Instance};
     use crowd_core::equiv::{assert_oracles_equal, drive_until_error};
     use crowd_core::model::WorkerClass;
+    use crowd_platform::JournalRecord;
 
     #[test]
     fn mid_batch_kill_resumes_identically() {
@@ -463,6 +476,59 @@ mod tests {
         assert!(o.resumed && o.identical && !o.diverged, "{o:?}");
         assert!(o.replayed > 0, "earlier batches replay from the journal");
         assert!(!o.torn_tail);
+    }
+
+    #[test]
+    fn resume_leg_fails_a_journal_with_unreproduced_frames() {
+        // A complete journal plus one forged completed batch beyond what
+        // the algorithm issues: every real frame replays, the forged one is
+        // never reproduced, and the ended leg must report divergence.
+        let instance = Instance::new(vec![1.0, 5.0, 3.0, 9.0, 7.0, 2.0, 8.0, 4.0]);
+        let ids = instance.ids();
+        let policy = CheckpointPolicy::every(CADENCE);
+        let fresh = || build_platform(&instance, 0.5, 0.0, 0.0, 7);
+        let mut base = JournaledOracle::new(fresh(), JOB, 7, policy);
+        let base_out = drive(&mut base, &ids, 2, 7);
+        base.finish();
+        let (base_journal, _) = base.into_parts();
+        let decoded = Journal::decode(base_journal.durable());
+        let batches = decoded
+            .records
+            .iter()
+            .filter(|r| matches!(r, JournalRecord::Scheduled { .. }))
+            .count() as u64;
+        let mut forged = Journal::new();
+        for record in &decoded.records {
+            forged.append(record);
+        }
+        forged.append(&JournalRecord::Scheduled {
+            batch: batches,
+            class: WorkerClass::Naive,
+            pairs: vec![(ElementId(0), ElementId(1))],
+        });
+        forged.append(&JournalRecord::Completed {
+            batch: batches,
+            winners: vec![ElementId(1)],
+            workers: Vec::new(),
+            counts: ComparisonCounts::default(),
+            spent: 0.0,
+            fault_seq: 0,
+            partial: false,
+        });
+        forged.flush();
+
+        let mut resumed =
+            resume_job(forged.durable(), fresh(), JOB, 7, policy).expect("the grammar is valid");
+        let out = drive(&mut resumed, &ids, 2, 7);
+        assert_eq!(out, base_out, "every real batch replays");
+        assert_eq!(
+            resumed.diverged(),
+            None,
+            "nothing differed while the job ran"
+        );
+        let (_, diverged, journal, _) = end_resumed(resumed);
+        assert!(diverged, "the forged batch was never reproduced");
+        assert_eq!(journal.durable(), base_journal.durable());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! them all again. The paper's two-phase algorithm is driven entirely by
 //! its ordered comparison stream, so a journal of *(batch pairs, worker
 //! assignments, outcomes, RNG stream positions, budget spent)* is a
-//! complete recovery state — see `crowd_core::replay` for the
-//! transcript-replay argument.
+//! complete recovery state.
 //!
 //! This module provides the journal itself:
 //!
@@ -25,6 +24,22 @@
 //!   *before* workers are asked (the WAL invariant — at most one batch is
 //!   ever in flight), the `Completed` record is flushed at the
 //!   batch-aligned cadence of a [`CheckpointPolicy`].
+//!
+//! # The resume audit
+//!
+//! Every journal in the workspace — this job WAL and the crowd-serve WAL
+//! in [`crate::serve`] — is resumed the same way: the code re-runs from
+//! the start on a fresh, deterministic state machine, writing a new
+//! journal, and that journal is opened with [`Journal::resuming`] over
+//! the crashed journal's intact frames. One rule audits the run: it must
+//! re-append those frames **byte for byte and in order** before it
+//! appends anything new. A different frame, or a run that finishes with
+//! recovered frames not yet reproduced, is a divergence
+//! ([`Journal::diverged`]). A re-encoded `Completed` frame carries the
+//! winners, worker assignments, tally, spend, fault-stream position and
+//! partial flag, so this one byte comparison audits all of them; and
+//! since a `Scheduled` frame is compared before its batch executes, a
+//! diverged run buys no new work.
 //!
 //! Recovery from these bytes lives in [`mod@crate::recover`]; deterministic
 //! crash injection in [`crate::chaos`].
@@ -150,16 +165,53 @@ pub struct DecodedJournal {
 /// buffers a record, [`flush`](Journal::flush) moves the buffer across the
 /// durability line, and a crash (see [`crate::chaos`]) discards whatever
 /// was still pending — or, for a torn write, half a frame.
+///
+/// A journal opened with [`resuming`](Journal::resuming) also carries the
+/// resume audit described in the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
     durable: Vec<u8>,
     pending: Vec<u8>,
+    replay: Option<Replay>,
+}
+
+/// The resume audit: the crashed journal's intact frames and how far the
+/// resumed run has re-appended them.
+#[derive(Debug, Clone, Default)]
+struct Replay {
+    /// The crashed journal's intact frames, as encoded.
+    recovered: Vec<u8>,
+    /// Bytes of `recovered` re-appended so far.
+    pos: usize,
+    /// Batches the re-appended frames restored.
+    batches: u64,
+    /// Comparisons the re-appended frames restored.
+    comparisons: u64,
+    /// The first divergence, if any.
+    diverged: Option<String>,
+    /// [`Event::RecoveryCompleted`] has been emitted.
+    completed: bool,
 }
 
 impl Journal {
     /// An empty journal.
     pub fn new() -> Self {
         Journal::default()
+    }
+
+    /// An empty journal for a resumed run, audited against `recovered` —
+    /// the crashed journal's intact frames (its valid prefix). Emits
+    /// [`Event::RecoveryStarted`] with the caller's count of completed
+    /// batches in `recovered` and whether a torn tail was discarded.
+    pub fn resuming(recovered: &[u8], batches: u64, torn_tail: bool) -> Self {
+        crowd_obs::emit(Event::RecoveryStarted { batches, torn_tail });
+        Journal {
+            replay: Some(Replay {
+                recovered: recovered.to_vec(),
+                ..Replay::default()
+            }),
+            ..Journal::default()
+        }
     }
 
     /// Encodes `record` into the pending buffer. Not durable until
@@ -171,17 +223,99 @@ impl Journal {
     /// plain value trees).
     pub fn append(&mut self, record: &JournalRecord) {
         let json = serde_json::to_string(record).expect("journal record serializes");
-        self.append_json(&json);
+        let (batches, comparisons) = match record {
+            JournalRecord::Started { .. } => (0, 0),
+            JournalRecord::Scheduled { .. } => (1, 0),
+            JournalRecord::Completed { winners, .. } => (0, winners.len() as u64),
+        };
+        self.append_restoring(&json, batches, comparisons);
     }
 
     /// Encodes an arbitrary pre-serialized JSON record into the pending
     /// buffer using the same `<len> <checksum> <json>\n` framing. This is
     /// the extension seam other record vocabularies (the service journal
     /// in [`crate::serve`]) share so every journal in the workspace has
-    /// one torn-tail story.
+    /// one torn-tail story and one resume audit.
     pub fn append_json(&mut self, json: &str) {
-        let frame = format!("{} {:016x} {json}\n", json.len(), fnv1a64(json.as_bytes()));
-        self.pending.extend_from_slice(frame.as_bytes());
+        self.append_restoring(json, 0, 0);
+    }
+
+    /// [`append_json`](Journal::append_json) for a frame that, when a
+    /// resumed run re-appends it, restores `batches` batches and
+    /// `comparisons` purchased comparisons from the crashed journal — the
+    /// counts [`Event::RecoveryCompleted`] reports.
+    pub fn append_restoring(&mut self, json: &str, batches: u64, comparisons: u64) {
+        let start = self.pending.len();
+        let header = format!("{} {:016x} ", json.len(), fnv1a64(json.as_bytes()));
+        self.pending.extend_from_slice(header.as_bytes());
+        self.pending.extend_from_slice(json.as_bytes());
+        self.pending.push(b'\n');
+        let Some(replay) = &mut self.replay else {
+            return;
+        };
+        if replay.diverged.is_some() || replay.pos == replay.recovered.len() {
+            return;
+        }
+        let frame = &self.pending[start..];
+        if replay.recovered[replay.pos..].starts_with(frame) {
+            replay.pos += frame.len();
+            replay.batches += batches;
+            replay.comparisons += comparisons;
+        } else {
+            replay.diverged = Some(format!(
+                "byte {}: the resumed run appended a frame the crashed journal does not hold",
+                replay.pos
+            ));
+        }
+    }
+
+    /// The resume audit's first divergence, if any (always `None` for a
+    /// journal not opened with [`resuming`](Journal::resuming)).
+    pub fn diverged(&self) -> Option<&str> {
+        self.replay.as_ref()?.diverged.as_deref()
+    }
+
+    /// True while recovered frames remain to be re-appended.
+    pub fn replaying(&self) -> bool {
+        self.replay
+            .as_ref()
+            .is_some_and(|r| r.pos < r.recovered.len())
+    }
+
+    /// Comparisons restored so far by re-appended frames.
+    pub fn replayed_comparisons(&self) -> u64 {
+        self.replay.as_ref().map_or(0, |r| r.comparisons)
+    }
+
+    /// Closes the resume audit once every recovered frame has been
+    /// re-appended: emits [`Event::RecoveryCompleted`] and adds the
+    /// restored comparisons to the
+    /// [`crowd_replayed_comparisons_total`](metric_names::REPLAYED_COMPARISONS)
+    /// counter, exactly once. With `finished` — the resumed run has ended
+    /// — recovered frames still not re-appended are a divergence instead.
+    /// A no-op on a journal that is not resuming.
+    pub fn end_replay(&mut self, finished: bool) {
+        let Some(replay) = &mut self.replay else {
+            return;
+        };
+        if replay.completed || replay.diverged.is_some() {
+            return;
+        }
+        if replay.pos < replay.recovered.len() {
+            if finished {
+                replay.diverged = Some(format!(
+                    "byte {}: the resumed run finished before re-appending the crashed journal",
+                    replay.pos
+                ));
+            }
+            return;
+        }
+        replay.completed = true;
+        crowd_obs::emit(Event::RecoveryCompleted {
+            replayed_batches: replay.batches,
+            replayed_comparisons: replay.comparisons,
+        });
+        crowd_obs::counter_add(metric_names::REPLAYED_COMPARISONS, &[], replay.comparisons);
     }
 
     /// Moves every pending byte across the durability line. Returns the
@@ -319,7 +453,9 @@ fn decode_raw_frame(bytes: &[u8]) -> Option<(String, usize)> {
 /// injection point: the oracle reports [`OracleError::Interrupted`], and
 /// every later call short-circuits to the same error — a crashed journal
 /// stays frozen exactly at the crash point. [`mod@crate::recover`] turns the
-/// durable bytes back into a running job.
+/// durable bytes back into a running job: a decorator over a
+/// [`resuming`](Journal::resuming) journal, which refuses to execute a
+/// batch whose `Scheduled` frame diverged from the crashed journal.
 #[derive(Debug)]
 pub struct JournaledOracle<R: RngCore> {
     inner: PlatformOracle<R>,
@@ -335,13 +471,25 @@ impl<R: RngCore> JournaledOracle<R> {
     /// Wraps `platform`, journaling under the given job label and
     /// checkpoint cadence. The `Started` header is flushed immediately.
     pub fn new(platform: Platform<R>, job: &str, seed: u64, policy: CheckpointPolicy) -> Self {
-        let mut journal = Journal::new();
+        JournaledOracle::with_journal(platform, job, seed, policy, Journal::new())
+    }
+
+    /// [`new`](Self::new) over a given (possibly
+    /// [`resuming`](Journal::resuming)) journal.
+    pub(crate) fn with_journal(
+        platform: Platform<R>,
+        job: &str,
+        seed: u64,
+        policy: CheckpointPolicy,
+        mut journal: Journal,
+    ) -> Self {
         journal.append(&JournalRecord::Started {
             version: JOURNAL_VERSION,
             job: job.to_string(),
             seed,
         });
         journal.flush();
+        journal.end_replay(false);
         JournaledOracle {
             inner: PlatformOracle::new(platform),
             journal,
@@ -383,12 +531,15 @@ impl<R: RngCore> JournaledOracle<R> {
 
     /// Flushes any pending `Completed` records (an orderly shutdown —
     /// call when the driving algorithm finishes). Returns bytes flushed.
+    /// On a resumed run this also ends the resume audit: recovered frames
+    /// the run never re-appended make it [`diverged`](Journal::diverged).
     pub fn finish(&mut self) -> u64 {
         let bytes = self.journal.flush();
         if bytes > 0 {
             self.checkpoint_written(bytes);
         }
         self.unflushed_completed = 0;
+        self.journal.end_replay(true);
         bytes
     }
 
@@ -444,13 +595,15 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
     /// The WAL hot path. On a chaos crash nothing is executed: the run is
     /// dead, the durable journal is the recovery state, and the completed
     /// prefix of earlier batches is already behind the durability line.
+    /// A resumed run that diverged from its crashed journal is refused the
+    /// same way, so it buys no new work.
     fn try_compare_batch(
         &mut self,
         class: WorkerClass,
         pairs: &[(ElementId, ElementId)],
         winners: &mut Vec<ElementId>,
     ) -> Result<(), OracleError> {
-        if self.crashed {
+        if self.crashed || self.journal.diverged().is_some() {
             return Err(OracleError::Interrupted);
         }
         if pairs.is_empty() {
@@ -485,6 +638,11 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
             return Err(self.crash());
         }
         self.journal.append(&scheduled);
+        if self.journal.diverged().is_some() {
+            // The resumed run asks for other work than the crashed run
+            // scheduled: refuse before anything is flushed or bought.
+            return Err(OracleError::Interrupted);
+        }
         let bytes = self.journal.flush();
         self.checkpoint_written(bytes);
         self.unflushed_completed = 0;
@@ -512,6 +670,10 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
             self.checkpoint_written(bytes);
             self.unflushed_completed = 0;
         }
+        if self.journal.diverged().is_some() {
+            return Err(OracleError::Interrupted);
+        }
+        self.journal.end_replay(false);
         outcome
     }
 

@@ -29,10 +29,11 @@
 //! * [`retry`] — timeout recovery: capped exponential backoff,
 //!   re-assignment to fresh workers, and dead-letter records.
 //! * [`journal`] — write-ahead, length-prefixed + checksummed journaling
-//!   of every batch, with batch-aligned checkpoint cadence.
-//! * [`mod@recover`] — crash recovery: replay a journal on a fresh platform,
-//!   audited against its checkpoints and the `crowd_core::replay`
-//!   transcript, then continue live.
+//!   of every batch, with batch-aligned checkpoint cadence, and the one
+//!   resume audit every journal shares: a resumed run must re-append the
+//!   crashed journal's intact frames byte for byte and in order.
+//! * [`mod@recover`] — crash recovery: validate a journal, re-run the job
+//!   on a fresh platform under that audit, then continue live.
 //! * [`chaos`] — deterministic, seeded crash injection (mid-batch,
 //!   between rounds, at the phase transition, torn journal writes) for
 //!   proving resume-equals-uninterrupted.
@@ -72,7 +73,7 @@ pub use journal::{
 pub use platform::{JobResult, Platform, PlatformConfig, PlatformError, PlatformOracle};
 pub use pool::WorkerPool;
 pub use quality::{GoldRecord, TrustTracker};
-pub use recover::{recover, resume_job, RecoverError, Recovered, ResumeOracle, ScriptEntry};
+pub use recover::{recover, resume_job, RecoverError, Recovered, ResumeOracle};
 pub use report::{CampaignReport, WorkerLine};
 pub use retry::{DeadLetter, DeadLetterReason, RetryPolicy};
 pub use scheduler::{physical_steps, reassign, schedule, Assignment, Schedule, ScheduleError};

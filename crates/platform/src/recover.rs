@@ -2,32 +2,28 @@
 //!
 //! The model is write-ahead-log state-machine replay. The platform is a
 //! deterministic state machine (seeded RNGs, a stateless SplitMix64 fault
-//! plan, hash-free iteration orders), so re-executing the journaled batch
-//! sequence on a *fresh* platform rebuilds worker trust, the ledger, the
-//! RNG streams and the fault-plan position exactly — no worker is asked
-//! anything new and no money is notionally re-spent until the journal is
-//! exhausted. The journal's `Completed` records are not used to *drive*
-//! that replay but to *audit* it: every replayed batch is checked against
-//! the journaled winners, the cumulative tally, the spend, and the fault
-//! stream position, and additionally consumed through a
-//! [`crowd_core::replay::ReplayOracle`] built from the journal transcript
-//! — the same answered-transcript machinery the offline re-analysis
-//! tooling uses. Any mismatch means the journal and the code disagree
-//! (config drift, version skew) and recovery aborts rather than silently
-//! diverge.
+//! plan, hash-free iteration orders), so re-executing the job on a
+//! *fresh* platform rebuilds worker trust, the ledger, the RNG streams
+//! and the fault-plan position exactly. [`recover`] decodes the journal
+//! and validates its header and WAL grammar (journal bytes are outside
+//! input); [`resume_job`] then re-runs the job through a
+//! [`JournaledOracle`] whose new journal is audited by the one rule every
+//! journal in the workspace obeys (see [`crate::journal`]): the resumed
+//! run must re-append the crashed journal's intact frames byte for byte
+//! and in order before it appends anything new. Any difference means the
+//! journal and the code disagree (config drift, version skew, a forged
+//! frame) and the run stops rather than silently diverge.
 //!
 //! The one deliberately re-bought case: a dangling `Scheduled` record
 //! (the WAL wrote the intent, the crash hit before any worker answered).
-//! Recovery runs that batch live — at most one batch per crash, the
-//! floor any write-ahead scheme can guarantee.
+//! The resumed run executes that batch live — at most one batch per
+//! crash, the floor any write-ahead scheme can guarantee.
 
 use crate::journal::{CheckpointPolicy, Journal, JournalRecord, JournaledOracle, JOURNAL_VERSION};
 use crate::platform::Platform;
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
-use crowd_core::replay::{JudgmentLog, RecordedJudgment, ReplayOracle};
-use crowd_obs::{names as metric_names, Event};
 use rand::RngCore;
 
 /// Why a journal could not be recovered.
@@ -73,37 +69,6 @@ impl std::fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
-/// What a replayed batch must reproduce, straight from its `Completed`
-/// record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExpectedOutcome {
-    /// The journaled winners (a prefix on a partial batch).
-    pub winners: Vec<ElementId>,
-    /// The journaled cumulative judgment tally.
-    pub counts: ComparisonCounts,
-    /// The journaled cumulative spend.
-    pub spent: f64,
-    /// The journaled fault-plan stream position.
-    pub fault_seq: u64,
-    /// True when the batch ended in a mid-batch fault.
-    pub partial: bool,
-}
-
-/// One batch the resumed run must re-issue: the scheduled pairs, plus the
-/// audited outcome when the journal completed the batch (`None` for a
-/// dangling `Scheduled` — that batch runs live).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScriptEntry {
-    /// 0-based batch index.
-    pub batch: u64,
-    /// The worker class the batch was posted to.
-    pub class: WorkerClass,
-    /// The comparison pairs, in submission order.
-    pub pairs: Vec<(ElementId, ElementId)>,
-    /// The audited outcome, when the journal holds one.
-    pub expected: Option<ExpectedOutcome>,
-}
-
 /// A decoded, structurally validated journal, ready to drive a resume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recovered {
@@ -111,23 +76,14 @@ pub struct Recovered {
     pub job: String,
     /// The platform seed from the header.
     pub seed: u64,
-    /// The batches to replay, in order.
-    pub script: Vec<ScriptEntry>,
-    /// The answered transcript of every completed batch, in order — the
-    /// [`ReplayOracle`] audit channel is built from this.
-    pub log: JudgmentLog,
+    /// Batches with a `Completed` record (a dangling `Scheduled`, if
+    /// any, is not counted — it runs live).
+    pub completed_batches: u64,
     /// True when a torn tail was detected (and discarded) by checksum.
     pub torn_tail: bool,
-    /// Journal bytes covered by intact records.
+    /// Journal bytes covered by intact records — the frames a resumed
+    /// run must re-append.
     pub valid_bytes: usize,
-}
-
-impl Recovered {
-    /// Batches with a journaled outcome (the dangling `Scheduled`, if
-    /// any, is not counted — it runs live).
-    pub fn completed_batches(&self) -> u64 {
-        self.script.iter().filter(|e| e.expected.is_some()).count() as u64
-    }
 }
 
 /// Decodes and structurally validates journal `bytes`.
@@ -152,145 +108,93 @@ pub fn recover(bytes: &[u8]) -> Result<Recovered, RecoverError> {
     if version != JOURNAL_VERSION {
         return Err(RecoverError::VersionMismatch { found: version });
     }
-    let mut script: Vec<ScriptEntry> = Vec::new();
-    let mut log = JudgmentLog::new();
+    // The batch index the next `Scheduled` must carry, and the pair count
+    // of the batch in flight (scheduled, not yet completed).
+    let mut next = 0u64;
+    let mut in_flight: Option<usize> = None;
+    let mut completed_batches = 0u64;
     for record in records {
         match record {
             JournalRecord::Started { .. } => {
                 return Err(RecoverError::Corrupt("second Started header".to_string()));
             }
-            JournalRecord::Scheduled {
-                batch,
-                class,
-                pairs,
-            } => {
-                if script.last().is_some_and(|e| e.expected.is_none()) {
+            JournalRecord::Scheduled { batch, pairs, .. } => {
+                if in_flight.is_some() {
                     return Err(RecoverError::Corrupt(format!(
                         "batch {batch} scheduled while the previous batch is still in flight"
                     )));
                 }
-                if batch != script.len() as u64 {
+                if batch != next {
                     return Err(RecoverError::Corrupt(format!(
-                        "batch {batch} scheduled out of order (expected {})",
-                        script.len()
+                        "batch {batch} scheduled out of order (expected {next})"
                     )));
                 }
-                script.push(ScriptEntry {
-                    batch,
-                    class,
-                    pairs,
-                    expected: None,
-                });
+                next += 1;
+                in_flight = Some(pairs.len());
             }
             JournalRecord::Completed {
                 batch,
                 winners,
-                workers: _,
-                counts,
-                spent,
-                fault_seq,
                 partial,
+                ..
             } => {
-                let Some(entry) = script.last_mut() else {
+                if next == 0 {
                     return Err(RecoverError::Corrupt(format!(
                         "batch {batch} completed without being scheduled"
                     )));
-                };
-                if entry.batch != batch || entry.expected.is_some() {
+                }
+                let Some(pairs) = in_flight.take().filter(|_| batch + 1 == next) else {
                     return Err(RecoverError::Corrupt(format!(
                         "batch {batch} completed out of order"
                     )));
-                }
-                if winners.len() > entry.pairs.len()
-                    || (!partial && winners.len() != entry.pairs.len())
-                {
+                };
+                if winners.len() > pairs || (!partial && winners.len() != pairs) {
                     return Err(RecoverError::Corrupt(format!(
-                        "batch {batch} completed with {} winners for {} pairs",
-                        winners.len(),
-                        entry.pairs.len()
+                        "batch {batch} completed with {} winners for {pairs} pairs",
+                        winners.len()
                     )));
                 }
-                for (&(k, j), &winner) in entry.pairs.iter().zip(&winners) {
-                    log.push(RecordedJudgment {
-                        class: entry.class,
-                        k,
-                        j,
-                        winner,
-                    });
-                }
-                entry.expected = Some(ExpectedOutcome {
-                    winners,
-                    counts,
-                    spent,
-                    fault_seq,
-                    partial,
-                });
+                completed_batches += 1;
             }
         }
     }
     Ok(Recovered {
         job,
         seed,
-        script,
-        log,
+        completed_batches,
         torn_tail: decoded.torn_tail,
         valid_bytes: decoded.valid_bytes,
     })
 }
 
-/// An oracle that resumes a journaled job: replays the recovered script
-/// on a fresh platform (auditing every batch against the journal and the
-/// [`ReplayOracle`] transcript), then passes through live.
+/// An oracle that resumes a journaled job: a [`JournaledOracle`] on a
+/// fresh platform whose journal is audited against the crashed one (see
+/// [`crate::journal`]). It replays the journaled batches — no worker is
+/// asked anything already paid for — then continues live.
 ///
-/// The wrapped [`JournaledOracle`] journals the resumed run from scratch,
-/// so a resumed job can itself crash and be resumed again.
+/// The new journal is the resumed run's own, so a resumed job can itself
+/// crash and be resumed again.
 #[derive(Debug)]
 pub struct ResumeOracle<R: RngCore> {
     inner: JournaledOracle<R>,
-    script: Vec<ScriptEntry>,
-    replay: ReplayOracle,
-    pos: usize,
-    replayed_comparisons: u64,
-    diverged: Option<String>,
 }
 
 impl<R: RngCore> ResumeOracle<R> {
-    /// Builds the resume path from a recovered journal and a fresh
-    /// journaled platform. Emits [`Event::RecoveryStarted`]; when the
-    /// script is empty the recovery is trivially complete and
-    /// [`Event::RecoveryCompleted`] follows immediately.
-    pub fn new(recovered: Recovered, inner: JournaledOracle<R>) -> Self {
-        crowd_obs::emit(Event::RecoveryStarted {
-            batches: recovered.completed_batches(),
-            torn_tail: recovered.torn_tail,
-        });
-        let oracle = ResumeOracle {
-            inner,
-            replay: ReplayOracle::new(&recovered.log),
-            script: recovered.script,
-            pos: 0,
-            replayed_comparisons: 0,
-            diverged: None,
-        };
-        if oracle.script.is_empty() {
-            oracle.emit_completed();
-        }
-        oracle
-    }
-
     /// Comparisons restored from the journal instead of re-purchased.
     pub fn replayed_comparisons(&self) -> u64 {
-        self.replayed_comparisons
+        self.inner.journal().replayed_comparisons()
     }
 
     /// True while journal replay is still in progress.
     pub fn replaying(&self) -> bool {
-        self.pos < self.script.len()
+        self.inner.journal().replaying()
     }
 
     /// The first audit failure, if replay diverged from the journal.
+    /// Recovered frames left unreproduced count once the run is
+    /// [`finish`](JournaledOracle::finish)ed.
     pub fn diverged(&self) -> Option<&str> {
-        self.diverged.as_deref()
+        self.inner.journal().diverged()
     }
 
     /// The wrapped journaled platform.
@@ -302,34 +206,11 @@ impl<R: RngCore> ResumeOracle<R> {
     pub fn into_inner(self) -> JournaledOracle<R> {
         self.inner
     }
-
-    fn emit_completed(&self) {
-        crowd_obs::emit(Event::RecoveryCompleted {
-            replayed_batches: self.pos as u64,
-            replayed_comparisons: self.replayed_comparisons,
-        });
-        crowd_obs::counter_add(
-            metric_names::REPLAYED_COMPARISONS,
-            &[],
-            self.replayed_comparisons,
-        );
-    }
-
-    fn diverge(&mut self, what: String) -> OracleError {
-        if self.diverged.is_none() {
-            self.diverged = Some(what);
-        }
-        OracleError::Interrupted
-    }
 }
 
 impl<R: RngCore> ComparisonOracle for ResumeOracle<R> {
-    /// Infallible trait surface. Callers that must not panic on replay
-    /// divergence or a fault-exhausted platform use [`Self::try_compare`],
-    /// which returns the typed [`OracleError`] instead.
     fn compare(&mut self, class: WorkerClass, k: ElementId, j: ElementId) -> ElementId {
-        self.try_compare(class, k, j)
-            .expect("the resumed platform cannot answer")
+        self.inner.compare(class, k, j)
     }
 
     fn try_compare(
@@ -338,9 +219,7 @@ impl<R: RngCore> ComparisonOracle for ResumeOracle<R> {
         k: ElementId,
         j: ElementId,
     ) -> Result<ElementId, OracleError> {
-        let mut winners = Vec::with_capacity(1);
-        self.try_compare_batch(class, &[(k, j)], &mut winners)?;
-        Ok(winners[0])
+        self.inner.try_compare(class, k, j)
     }
 
     fn compare_batch(
@@ -349,8 +228,7 @@ impl<R: RngCore> ComparisonOracle for ResumeOracle<R> {
         pairs: &[(ElementId, ElementId)],
         winners: &mut Vec<ElementId>,
     ) {
-        self.try_compare_batch(class, pairs, winners)
-            .expect("the resumed platform cannot answer");
+        self.inner.compare_batch(class, pairs, winners);
     }
 
     fn try_compare_batch(
@@ -359,66 +237,7 @@ impl<R: RngCore> ComparisonOracle for ResumeOracle<R> {
         pairs: &[(ElementId, ElementId)],
         winners: &mut Vec<ElementId>,
     ) -> Result<(), OracleError> {
-        if self.diverged.is_some() {
-            return Err(OracleError::Interrupted);
-        }
-        if pairs.is_empty() {
-            return Ok(());
-        }
-        let scripted = self.pos < self.script.len();
-        if scripted {
-            let entry = &self.script[self.pos];
-            if entry.class != class || entry.pairs != pairs {
-                let batch = entry.batch;
-                return Err(self.diverge(format!(
-                    "batch {batch}: the resumed run requested different work \
-                     than the journal recorded"
-                )));
-            }
-        }
-        let start = winners.len();
-        let outcome = self.inner.try_compare_batch(class, pairs, winners);
-        if !scripted {
-            return outcome;
-        }
-        let entry = &self.script[self.pos];
-        let batch = entry.batch;
-        if let Some(expected) = entry.expected.clone() {
-            let got = &winners[start..];
-            if got != expected.winners.as_slice() {
-                return Err(self.diverge(format!(
-                    "batch {batch}: replay produced different winners than the journal"
-                )));
-            }
-            // Audit through the transcript-replay channel too: the journal
-            // log must answer exactly what the fresh platform answered.
-            for (&(k, j), &winner) in pairs.iter().zip(got) {
-                match self.replay.try_compare(class, k, j) {
-                    Ok(w) if w == winner => {}
-                    _ => {
-                        return Err(self.diverge(format!(
-                            "batch {batch}: the journal transcript disagrees with replay"
-                        )));
-                    }
-                }
-            }
-            let platform = self.inner.platform();
-            if platform.counts() != expected.counts
-                || platform.fault_seq() != expected.fault_seq
-                || platform.ledger().total() != expected.spent
-            {
-                return Err(self.diverge(format!(
-                    "batch {batch}: replayed platform state drifted from the checkpoint \
-                     (tally/spend/fault-stream mismatch)"
-                )));
-            }
-            self.replayed_comparisons += got.len() as u64;
-        }
-        self.pos += 1;
-        if self.pos == self.script.len() {
-            self.emit_completed();
-        }
-        outcome
+        self.inner.try_compare_batch(class, pairs, winners)
     }
 
     fn counts(&self) -> ComparisonCounts {
@@ -432,11 +251,12 @@ impl<R: RngCore> ComparisonOracle for ResumeOracle<R> {
 
 /// One-call resume: recover `bytes`, validate them against the job the
 /// caller is rebuilding, and wrap a fresh `platform` in the replay path.
+/// Emits [`Event::RecoveryStarted`](crowd_obs::Event::RecoveryStarted).
 ///
 /// `platform` must be constructed exactly as the crashed run's was (same
 /// instance, pool, config, and the `seed` the journal header records) —
-/// recovery re-executes the journaled batches on it and audits every step
-/// against the checkpoints.
+/// recovery re-executes the journaled batches on it, and the journal
+/// audit stops the run at the first frame it does not reproduce.
 ///
 /// # Errors
 ///
@@ -462,8 +282,14 @@ pub fn resume_job<R: RngCore>(
             recovered.seed
         )));
     }
-    let inner = JournaledOracle::new(platform, job, seed, policy);
-    Ok(ResumeOracle::new(recovered, inner))
+    let journal = Journal::resuming(
+        &bytes[..recovered.valid_bytes],
+        recovered.completed_batches,
+        recovered.torn_tail,
+    );
+    Ok(ResumeOracle {
+        inner: JournaledOracle::with_journal(platform, job, seed, policy, journal),
+    })
 }
 
 #[cfg(test)]
@@ -559,7 +385,7 @@ mod tests {
         })));
         let recovered = recover(&bytes).expect("journal recovers");
         assert!(recovered.torn_tail, "the torn frame must be detected");
-        assert_eq!(recovered.completed_batches(), 2);
+        assert_eq!(recovered.completed_batches, 2);
 
         let mut resumed = resume_job(
             &bytes,
@@ -611,6 +437,161 @@ mod tests {
             failed && resumed.diverged().is_some(),
             "a drifted platform must be caught by the audit"
         );
+    }
+
+    /// Edits one journaled field in place.
+    type Tamper = fn(&mut JournalRecord);
+
+    /// Re-encodes `bytes` with `tamper` applied to every record.
+    fn tampered(bytes: &[u8], tamper: Tamper) -> Vec<u8> {
+        let mut journal = Journal::new();
+        for mut record in Journal::decode(bytes).records {
+            tamper(&mut record);
+            journal.append(&record);
+        }
+        journal.flush();
+        journal.durable().to_vec()
+    }
+
+    #[test]
+    fn every_tampered_field_is_caught_as_divergence() {
+        let (_, bytes) = run_journaled(Some(ChaosPlan::at(InjectionPoint::MidBatch { batch: 2 })));
+        let after_batch_0 = Journal::decode(&bytes)
+            .records
+            .iter()
+            .find_map(|r| match r {
+                JournalRecord::Completed {
+                    batch: 0, counts, ..
+                } => Some(*counts),
+                _ => None,
+            })
+            .expect("batch 0 completed");
+        // One tampered field of batch 1 per case; batch 1 is (4, 5).
+        let cases: [(&str, Tamper); 5] = [
+            ("winner", |r| {
+                if let JournalRecord::Completed {
+                    batch: 1, winners, ..
+                } = r
+                {
+                    winners[0] = if winners[0] == ElementId(4) {
+                        ElementId(5)
+                    } else {
+                        ElementId(4)
+                    };
+                }
+            }),
+            ("spent", |r| {
+                if let JournalRecord::Completed {
+                    batch: 1, spent, ..
+                } = r
+                {
+                    *spent += 0.01;
+                }
+            }),
+            ("fault_seq", |r| {
+                if let JournalRecord::Completed {
+                    batch: 1,
+                    fault_seq,
+                    ..
+                } = r
+                {
+                    *fault_seq += 1;
+                }
+            }),
+            ("counts", |r| {
+                if let JournalRecord::Completed {
+                    batch: 1, counts, ..
+                } = r
+                {
+                    counts.naive += 1;
+                }
+            }),
+            ("scheduled pair", |r| {
+                if let JournalRecord::Scheduled {
+                    batch: 1, pairs, ..
+                } = r
+                {
+                    pairs[0] = (ElementId(5), ElementId(4));
+                }
+            }),
+        ];
+        for (field, tamper) in cases {
+            let forged = tampered(&bytes, tamper);
+            assert_ne!(forged, bytes, "{field}: the tamper must change the journal");
+            let mut resumed = resume_job(
+                &forged,
+                fresh_platform(),
+                JOB,
+                SEED,
+                CheckpointPolicy::every_batch(),
+            )
+            .expect("the grammar is still valid");
+            let mut winners = Vec::new();
+            let failed_at = batches().iter().position(|batch| {
+                resumed
+                    .try_compare_batch(WorkerClass::Naive, batch, &mut winners)
+                    .is_err()
+            });
+            assert_eq!(failed_at, Some(1), "{field}: batch 1 must diverge");
+            assert!(resumed.diverged().is_some(), "{field}");
+            if field == "scheduled pair" {
+                assert_eq!(
+                    resumed.counts(),
+                    after_batch_0,
+                    "a mismatched Scheduled frame must stop the batch before it executes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_extra_journaled_batch_is_caught_when_the_run_finishes() {
+        // A complete journal plus one validly framed batch the test
+        // never issues.
+        let (full, bytes) = run_journaled(None);
+        let mut forged = Journal::new();
+        for record in Journal::decode(&bytes).records {
+            forged.append(&record);
+        }
+        forged.append(&JournalRecord::Scheduled {
+            batch: 3,
+            class: WorkerClass::Naive,
+            pairs: vec![(ElementId(0), ElementId(5))],
+        });
+        forged.append(&JournalRecord::Completed {
+            batch: 3,
+            winners: vec![ElementId(0)],
+            workers: Vec::new(),
+            counts: ComparisonCounts::default(),
+            spent: 0.0,
+            fault_seq: 0,
+            partial: false,
+        });
+        forged.flush();
+
+        let mut resumed = resume_job(
+            forged.durable(),
+            fresh_platform(),
+            JOB,
+            SEED,
+            CheckpointPolicy::every_batch(),
+        )
+        .expect("the grammar is valid");
+        let mut winners = Vec::new();
+        for batch in batches() {
+            resumed
+                .try_compare_batch(WorkerClass::Naive, &batch, &mut winners)
+                .expect("every real batch replays");
+        }
+        assert_eq!(winners, full);
+        assert!(resumed.replaying(), "the forged batch is still ahead");
+        let mut inner = resumed.into_inner();
+        inner.finish();
+        assert!(
+            inner.journal().diverged().is_some(),
+            "finishing with unreproduced frames is a divergence"
+        );
+        assert_eq!(inner.journal().durable(), &bytes[..]);
     }
 
     #[test]

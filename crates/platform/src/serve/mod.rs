@@ -40,8 +40,10 @@
 //! * **Crash recovery** ([`service`]) — a write-ahead journal (framed
 //!   through [`crate::journal::Journal`], sharing its torn-tail
 //!   detection) makes every tick's dispatch durable before execution;
-//!   [`CrowdServe::resume`] audits a replay against the journal and
-//!   reproduces the interrupted run byte-for-byte.
+//!   [`CrowdServe::resume`] re-runs the plan under the journal's one
+//!   resume audit — the new journal must re-append the crashed journal's
+//!   intact frames byte for byte and in order — and reproduces the
+//!   interrupted run byte-for-byte.
 //!
 //! Everything runs on a logical clock with stateless seeded randomness
 //! ([`arrival`] for load, `crate::fault` for worker behaviour), so any

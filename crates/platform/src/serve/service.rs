@@ -21,8 +21,9 @@
 //!
 //! Every decision is a pure function of `(config, arrival plan, seed,
 //! logical clock)`: reruns are byte-identical, and
-//! [`CrowdServe::resume`] replays a crashed run's journal as an audit
-//! trail while rebuilding the exact same final state.
+//! [`CrowdServe::resume`] re-runs a crashed run under the journal's
+//! resume audit (see [`crate::journal`]) — it must re-append the crashed
+//! journal frame for frame — while rebuilding the exact same final state.
 
 use crate::fault::mix;
 use crate::journal::{fnv1a64, CheckpointPolicy, Journal, JOURNAL_VERSION};
@@ -188,10 +189,12 @@ pub enum ResumeError {
         /// Seed offered to resume.
         code: u64,
     },
-    /// Replay recomputed a different outcome than the journal recorded —
-    /// the journal lies or the environment changed.
+    /// The resumed run did not re-append the crashed journal frame for
+    /// frame — the journal lies or the environment changed.
     Diverged {
-        /// First tick whose recomputed record mismatched.
+        /// The tick at which the divergence was found: the first tick
+        /// whose recomputed record mismatched, or the final tick when the
+        /// run ended with journaled records it never reproduced.
         tick: u64,
     },
 }
@@ -204,6 +207,9 @@ pub enum ServeError {
     UnknownTenant(TenantId),
     /// A submission carried no elements.
     EmptyCatalog,
+    /// A submission's catalog holds a NaN or infinite value at this
+    /// position — no max is defined over it.
+    NonFiniteValue(usize),
     /// The config has no shards to dispatch onto.
     NoShards,
     /// The config lists the same tenant twice.
@@ -219,6 +225,7 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::UnknownTenant(t) => write!(f, "unknown tenant {t}"),
             ServeError::EmptyCatalog => write!(f, "job carries no elements"),
+            ServeError::NonFiniteValue(i) => write!(f, "catalog value {i} is not finite"),
             ServeError::NoShards => write!(f, "service configured with no shards"),
             ServeError::DuplicateTenant(t) => write!(f, "tenant {t} configured twice"),
             ServeError::Crashed => write!(f, "service crashed (chaos kill); journal is durable"),
@@ -321,6 +328,10 @@ enum ServeRecord {
     },
 }
 
+/// How a serialized [`ServeRecord::TickCompleted`] frame starts — resume
+/// counts the completed ticks it recovers without parsing the records.
+const TICK_COMPLETED_TAG: &str = "{\"TickCompleted\":";
+
 /// Deterministic kill points for chaos tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeKill {
@@ -407,15 +418,6 @@ pub struct ServeReport {
     pub cache_saved_comparisons: u64,
 }
 
-/// Replay-audit state carried by a resumed service.
-#[derive(Debug)]
-struct ReplayAudit {
-    /// Journaled `TickCompleted` JSON by tick, from the crashed run.
-    expected: BTreeMap<u64, String>,
-    replayed_ticks: u64,
-    replayed_comparisons: u64,
-}
-
 /// Which shard a dispatch attempt landed on, or why none could take it.
 enum ShardPick {
     Ready(usize),
@@ -448,7 +450,6 @@ pub struct CrowdServe {
     queue_depth_max: usize,
     chaos: Option<ServeKill>,
     crashed: bool,
-    replay: Option<ReplayAudit>,
 }
 
 impl CrowdServe {
@@ -459,6 +460,16 @@ impl CrowdServe {
     /// [`ServeError::NoShards`] on an empty shard set,
     /// [`ServeError::DuplicateTenant`] when a tenant is configured twice.
     pub fn new(config: ServeConfig, seed: u64) -> Result<Self, ServeError> {
+        CrowdServe::with_journal(config, seed, Journal::new())
+    }
+
+    /// [`new`](Self::new) over a given (possibly
+    /// [`resuming`](Journal::resuming)) journal.
+    fn with_journal(
+        config: ServeConfig,
+        seed: u64,
+        mut journal: Journal,
+    ) -> Result<Self, ServeError> {
         if config.shards.is_empty() {
             return Err(ServeError::NoShards);
         }
@@ -479,7 +490,6 @@ impl CrowdServe {
             .enumerate()
             .map(|(i, spec)| WorkerShard::new(i as u32, *spec, mix(seed ^ 0x5E)))
             .collect();
-        let mut journal = Journal::new();
         let header = ServeRecord::Started {
             version: JOURNAL_VERSION,
             seed,
@@ -511,7 +521,6 @@ impl CrowdServe {
             queue_depth_max: 0,
             chaos: None,
             crashed: false,
-            replay: None,
         })
     }
 
@@ -561,14 +570,18 @@ impl CrowdServe {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownTenant`] / [`ServeError::EmptyCatalog`] on
-    /// malformed submissions, [`ServeError::Crashed`] after a chaos kill.
+    /// [`ServeError::UnknownTenant`] / [`ServeError::EmptyCatalog`] /
+    /// [`ServeError::NonFiniteValue`] on malformed submissions,
+    /// [`ServeError::Crashed`] after a chaos kill.
     pub fn submit(&mut self, spec: JobSpec) -> Result<Admission, ServeError> {
         if self.crashed {
             return Err(ServeError::Crashed);
         }
         if spec.values.is_empty() {
             return Err(ServeError::EmptyCatalog);
+        }
+        if let Some(i) = spec.values.iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::NonFiniteValue(i));
         }
         if !self.buckets.contains_key(&spec.tenant) {
             return Err(ServeError::UnknownTenant(spec.tenant));
@@ -704,6 +717,11 @@ impl CrowdServe {
                 .append_json(&serde_json::to_string(&record).expect("record serializes"));
         }
         if wal_appended {
+            if self.journal.diverged().is_some() {
+                // A resumed run about to execute other work than the
+                // crashed run journaled: refuse before anything is bought.
+                return Err(ServeError::Resume(ResumeError::Diverged { tick }));
+            }
             self.journal.flush();
             self.unflushed = 0;
             if self.chaos == Some(ServeKill::MidTick(tick)) {
@@ -965,17 +983,10 @@ impl CrowdServe {
                 completed: completions,
             };
             let json = serde_json::to_string(&record).expect("record serializes");
-            if let Some(audit) = &mut self.replay {
-                if let Some(expected) = audit.expected.get(&tick) {
-                    if *expected != json {
-                        return Err(ServeError::Resume(ResumeError::Diverged { tick }));
-                    }
-                    audit.replayed_ticks += 1;
-                    audit.replayed_comparisons += tick_answers;
-                    counter_add(names::REPLAYED_COMPARISONS, &[], tick_answers);
-                }
+            self.journal.append_restoring(&json, 1, tick_answers);
+            if self.journal.diverged().is_some() {
+                return Err(ServeError::Resume(ResumeError::Diverged { tick }));
             }
-            self.journal.append_json(&json);
             if self.chaos == Some(ServeKill::TornCompleted(tick)) {
                 let torn = self.journal.pending_len() / 2;
                 self.journal.flush_torn(torn);
@@ -1264,10 +1275,12 @@ impl CrowdServe {
 
     /// Resumes a crashed run from its durable journal bytes: validates
     /// the header, then re-runs the whole plan from tick 0 — every
-    /// decision is deterministic, so the replayed prefix reproduces the
-    /// journaled outcomes exactly (audited tick by tick, erroring with
-    /// [`ResumeError::Diverged`] on any mismatch) and the final journal
-    /// is byte-identical to an uninterrupted run's.
+    /// decision is deterministic, so the new journal re-appends the
+    /// crashed one's intact frames byte for byte (the resume audit of
+    /// [`crate::journal`], erroring with [`ResumeError::Diverged`] at the
+    /// first frame it does not reproduce, or when the run ends with
+    /// recovered frames unreproduced) and ends byte-identical to an
+    /// uninterrupted run's.
     ///
     /// Returns the report plus the finished service, whose journal's
     /// durable bytes callers can compare against an uninterrupted run.
@@ -1284,66 +1297,75 @@ impl CrowdServe {
         max_ticks: u64,
     ) -> Result<(ServeReport, CrowdServe), ServeError> {
         let decoded = Journal::decode_json(bytes);
-        let mut torn_tail = decoded.torn_tail;
-        let mut records: Vec<(ServeRecord, String)> = Vec::new();
-        for (json, _) in decoded.frames {
-            match serde_json::from_str::<ServeRecord>(&json) {
-                Ok(record) => records.push((record, json)),
-                Err(_) => {
-                    torn_tail = true;
-                    break;
-                }
-            }
-        }
-        let Some((
-            ServeRecord::Started {
-                version,
-                seed: jseed,
-                config_digest,
-            },
-            _,
-        )) = records.first()
+        let header = decoded
+            .frames
+            .first()
+            .and_then(|(json, _)| serde_json::from_str::<ServeRecord>(json).ok());
+        let Some(ServeRecord::Started {
+            version,
+            seed: jseed,
+            config_digest,
+        }) = header
         else {
             return Err(ServeError::Resume(ResumeError::MissingHeader));
         };
-        if *version != JOURNAL_VERSION {
+        if version != JOURNAL_VERSION {
             return Err(ServeError::Resume(ResumeError::VersionMismatch {
-                journal: *version,
+                journal: version,
                 code: JOURNAL_VERSION,
             }));
         }
-        if *jseed != seed {
+        if jseed != seed {
             return Err(ServeError::Resume(ResumeError::SeedMismatch {
-                journal: *jseed,
+                journal: jseed,
                 code: seed,
             }));
         }
-        if *config_digest != config.digest() {
+        if config_digest != config.digest() {
             return Err(ServeError::Resume(ResumeError::ConfigMismatch));
         }
-        let expected: BTreeMap<u64, String> = records
+        let completed_ticks = decoded
+            .frames
             .iter()
-            .filter_map(|(record, json)| match record {
-                ServeRecord::TickCompleted { tick, .. } => Some((*tick, json.clone())),
-                _ => None,
-            })
-            .collect();
-        emit(Event::RecoveryStarted {
-            batches: expected.len() as u64,
-            torn_tail,
-        });
-        let mut service = CrowdServe::new(config, seed)?;
-        service.replay = Some(ReplayAudit {
-            expected,
-            replayed_ticks: 0,
-            replayed_comparisons: 0,
-        });
+            .filter(|(json, _)| json.starts_with(TICK_COMPLETED_TAG))
+            .count() as u64;
+        let journal = Journal::resuming(
+            &bytes[..decoded.valid_bytes],
+            completed_ticks,
+            decoded.torn_tail,
+        );
+        let mut service = CrowdServe::with_journal(config, seed, journal)?;
         let report = service.run(plan, max_ticks)?;
-        let audit = service.replay.as_ref().expect("audit installed above");
-        emit(Event::RecoveryCompleted {
-            replayed_batches: audit.replayed_ticks,
-            replayed_comparisons: audit.replayed_comparisons,
-        });
+        service.journal.end_replay(true);
+        if service.journal.diverged().is_some() {
+            return Err(ServeError::Resume(ResumeError::Diverged {
+                tick: service.tick,
+            }));
+        }
         Ok((report, service))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tick_completed_frames_start_with_the_counted_tag() {
+        let record = ServeRecord::TickCompleted {
+            tick: 3,
+            shard_seqs: vec![1],
+            answers: 2,
+            charged: vec![(0, 2)],
+            completed: Vec::new(),
+        };
+        let json = serde_json::to_string(&record).expect("record serializes");
+        assert!(json.starts_with(TICK_COMPLETED_TAG), "{json}");
+        let other = ServeRecord::TickScheduled {
+            tick: 3,
+            dispatches: Vec::new(),
+        };
+        let json = serde_json::to_string(&other).expect("record serializes");
+        assert!(!json.starts_with(TICK_COMPLETED_TAG), "{json}");
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests of the platform substrate: scheduling invariants,
 //! billing conservation, and quality-control behaviour under randomized
-//! workloads and pool compositions.
+//! workloads and pool compositions, plus crash recovery from journals
+//! truncated at arbitrary offsets.
 
 use crowd_core::cost::CostModel;
 use crowd_core::element::{ElementId, Instance};
@@ -262,5 +263,124 @@ proptest! {
             }
         }
         prop_assert!(!platform.trust().is_trusted(spammer), "spammer survived 120 jobs");
+    }
+}
+
+/// A truncation-property fixture: the uninterrupted run's result and
+/// final journal, and the durable bytes a kill of the same run left.
+struct Truncation<T> {
+    result: T,
+    journal: Vec<u8>,
+    crashed: Vec<u8>,
+}
+
+const TRUNCATED_JOB: &str = "truncation";
+
+fn truncation_platform() -> Platform<StdRng> {
+    let instance = Instance::new((0..40).map(|i| f64::from((i * 17) % 40)).collect());
+    let mut pool = WorkerPool::new();
+    pool.hire_naive_crowd(8, 2.0, 0.05);
+    pool.hire_expert_panel(3, 0.5, 0.0);
+    Platform::new(
+        instance,
+        pool,
+        PlatformConfig::paper_default().without_gold(),
+        StdRng::seed_from_u64(0x7C),
+    )
+}
+
+fn drive_truncated_job<O: ComparisonOracle>(
+    oracle: &mut O,
+) -> Result<crowd_core::algorithms::ExpertMaxOutcome, crowd_core::oracle::OracleError> {
+    use crowd_core::algorithms::{try_expert_max_find, ExpertMaxConfig};
+    let ids: Vec<ElementId> = (0..40).map(ElementId).collect();
+    try_expert_max_find(
+        oracle,
+        &ids,
+        &ExpertMaxConfig::new(2),
+        &mut StdRng::seed_from_u64(0x7D),
+    )
+}
+
+/// Algorithm 1 through the job WAL, uninterrupted and killed mid-batch.
+fn job_truncation() -> &'static Truncation<crowd_core::algorithms::ExpertMaxOutcome> {
+    use crowd_platform::{ChaosPlan, CheckpointPolicy, InjectionPoint, JournaledOracle};
+    static FIXTURE: std::sync::OnceLock<Truncation<crowd_core::algorithms::ExpertMaxOutcome>> =
+        std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let policy = CheckpointPolicy::every(3);
+        let mut base = JournaledOracle::new(truncation_platform(), TRUNCATED_JOB, 0x7C, policy);
+        let result = drive_truncated_job(&mut base).expect("fault-free run finishes");
+        base.finish();
+        let mut doomed = JournaledOracle::new(truncation_platform(), TRUNCATED_JOB, 0x7C, policy)
+            .with_chaos(ChaosPlan::at(InjectionPoint::MidBatch { batch: 5 }));
+        assert!(drive_truncated_job(&mut doomed).is_err() && doomed.crashed());
+        Truncation {
+            result,
+            journal: base.journal().durable().to_vec(),
+            crashed: doomed.journal().durable().to_vec(),
+        }
+    })
+}
+
+/// crowd-serve, uninterrupted and killed mid-tick.
+fn serve_truncation() -> &'static Truncation<crowd_platform::ServeReport> {
+    use crowd_platform::serve::{ArrivalPlan, CrowdServe, ServeConfig, ServeKill};
+    static FIXTURE: std::sync::OnceLock<Truncation<crowd_platform::ServeReport>> =
+        std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let plan = ArrivalPlan::new(0x5E, 2, 1, 24, 1).with_catalog(4, 9);
+        let mut base = CrowdServe::new(ServeConfig::basic(), 3).unwrap();
+        let result = base.run(&plan, 600).expect("no chaos: cannot crash");
+        let mut doomed = CrowdServe::new(ServeConfig::basic(), 3)
+            .unwrap()
+            .with_chaos(ServeKill::MidTick(4));
+        assert!(doomed.run(&plan, 600).is_err() && doomed.crashed());
+        Truncation {
+            result,
+            journal: base.journal().durable().to_vec(),
+            crashed: doomed.journal().durable().to_vec(),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Resuming a job from its durable journal cut at any byte offset
+    /// either returns a typed error or reproduces the uninterrupted
+    /// result and journal byte for byte — never a panic.
+    #[test]
+    fn truncated_job_journal_resumes_or_refuses(cut in any::<usize>()) {
+        use crowd_platform::{resume_job, CheckpointPolicy};
+        let fixture = job_truncation();
+        let bytes = &fixture.crashed[..cut % (fixture.crashed.len() + 1)];
+        if let Ok(mut resumed) = resume_job(
+            bytes,
+            truncation_platform(),
+            TRUNCATED_JOB,
+            0x7C,
+            CheckpointPolicy::every(3),
+        ) {
+            let result = drive_truncated_job(&mut resumed);
+            let mut inner = resumed.into_inner();
+            inner.finish();
+            prop_assert_eq!(inner.journal().diverged(), None);
+            prop_assert_eq!(result.as_ref().ok(), Some(&fixture.result));
+            prop_assert!(inner.journal().durable() == &fixture.journal[..]);
+        }
+    }
+
+    /// The serve twin: a `MidTick` crash journal cut at any offset.
+    #[test]
+    fn truncated_serve_journal_resumes_or_refuses(cut in any::<usize>()) {
+        use crowd_platform::serve::{ArrivalPlan, CrowdServe, ServeConfig};
+        let fixture = serve_truncation();
+        let bytes = &fixture.crashed[..cut % (fixture.crashed.len() + 1)];
+        let plan = ArrivalPlan::new(0x5E, 2, 1, 24, 1).with_catalog(4, 9);
+        if let Ok((report, resumed)) = CrowdServe::resume(ServeConfig::basic(), 3, &plan, bytes, 600) {
+            prop_assert_eq!(&report, &fixture.result);
+            prop_assert!(resumed.journal().durable() == &fixture.journal[..]);
+        }
     }
 }

@@ -358,6 +358,81 @@ fn resume_refuses_foreign_journals() {
 }
 
 #[test]
+fn non_finite_catalog_values_are_refused() {
+    let (rec, _g) = record();
+    let mut service = CrowdServe::new(ServeConfig::basic(), 0).unwrap();
+    for (values, at) in [
+        (vec![1.0, f64::NAN, 3.0, 2.0], 1),
+        (vec![1.0, f64::INFINITY, 3.0], 1),
+        (vec![f64::NEG_INFINITY, 2.0], 0),
+    ] {
+        let spec = JobSpec {
+            tenant: TenantId(0),
+            values,
+            votes: 1,
+            expert_votes: 1,
+            deadline_ticks: 8,
+        };
+        assert_eq!(
+            service.submit(spec).unwrap_err(),
+            ServeError::NonFiniteValue(at)
+        );
+    }
+    // A refused submission leaves no residue: no job, no journal bytes.
+    service.step().unwrap();
+    let report = service.report();
+    assert!(report.jobs.is_empty());
+    assert!(report.tenants.iter().all(|t| t.offered == 0));
+    assert!(rec.events().is_empty(), "{:?}", rec.events());
+}
+
+#[test]
+fn resume_refuses_a_forged_trailing_frame() {
+    // A real crashed journal plus one validly framed TickCompleted the
+    // run never produces: the resumed run cannot re-append it.
+    let config = faulty_config();
+    let plan = overload_plan(13);
+    let mut durable = {
+        let (_rec, _g) = record();
+        let mut doomed = CrowdServe::new(config.clone(), 21)
+            .unwrap()
+            .with_chaos(ServeKill::MidTick(9));
+        assert_eq!(doomed.run(&plan, 600), Err(ServeError::Crashed));
+        doomed.journal().durable().to_vec()
+    };
+    let mut forged = crowd_platform::Journal::new();
+    forged.append_json(
+        r#"{"TickCompleted":{"tick":999999,"shard_seqs":[],"answers":0,"charged":[],"completed":[]}}"#,
+    );
+    forged.flush();
+    durable.extend_from_slice(forged.durable());
+
+    let (_rec, _g) = record();
+    let err = CrowdServe::resume(config.clone(), 21, &plan, &durable, 600).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServeError::Resume(crowd_platform::serve::ResumeError::Diverged { .. })
+        ),
+        "{err:?}"
+    );
+
+    // The same frame after a complete journal: every real frame is
+    // reproduced, and the run ends with the forged one still unmatched.
+    let (_, mut complete, _) = uninterrupted(&config, 21, &plan);
+    complete.extend_from_slice(forged.durable());
+    let (_rec, _g) = record();
+    let err = CrowdServe::resume(config, 21, &plan, &complete, 600).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServeError::Resume(crowd_platform::serve::ResumeError::Diverged { .. })
+        ),
+        "{err:?}"
+    );
+}
+
+#[test]
 fn submission_errors_are_typed() {
     let (_rec, _g) = record();
     let mut service = CrowdServe::new(ServeConfig::basic(), 0).unwrap();
