@@ -20,6 +20,10 @@
 //! losses can exceed `un(n)`, proving (Lemma 1) it cannot be the maximum;
 //! tracking a global per-element loss counter lets the filter discard such
 //! elements early and terminate sooner.
+//!
+//! The round rules live once, in the [`FilterRounds`] engine; its drivers
+//! ([`filter_candidates`], `crowd_experiments::par_filter`,
+//! `crowd_platform::batched`) differ only in how comparisons get answered.
 
 use crate::element::ElementId;
 use crate::model::WorkerClass;
@@ -29,6 +33,7 @@ use crate::oracle::{
 use crate::trace::TraceEvent;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// Configuration for the Phase-1 filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,6 +77,284 @@ pub struct FilterOutcome {
     pub comparisons: ComparisonCounts,
 }
 
+/// Algorithm 2's round engine: every rule of a round, and the state one
+/// round hands to the next (surviving input positions, capped Appendix A
+/// loss sets, size trace, round count). A driver answers the played groups
+/// through [`play`](Self::play) and closes each round with
+/// [`end_round`](Self::end_round):
+///
+/// ```
+/// use crowd_core::prelude::*;
+/// use crowd_core::algorithms::FilterRounds;
+///
+/// let instance = Instance::new((0..200).map(|i| i as f64).collect());
+/// let (ids, config) = (instance.ids(), FilterConfig::new(4));
+/// let mut oracle = PerfectOracle::new(instance.clone());
+/// let mut rounds = FilterRounds::new(&ids, &config);
+/// while rounds.is_running() {
+///     let result = rounds.play(0..rounds.played_groups(), |_, pairs, answers| {
+///         oracle.compare_batch(WorkerClass::Naive, pairs, answers)
+///     });
+///     rounds.end_round([result]);
+/// }
+/// let out = rounds.finish(oracle.counts());
+/// let mut reference = PerfectOracle::new(instance.clone());
+/// assert_eq!(out, filter_candidates(&mut reference, &ids, &config));
+/// ```
+#[derive(Debug)]
+pub struct FilterRounds<'a> {
+    ids: &'a [ElementId],
+    un: usize,
+    /// `losses[i]`: the distinct opponents position `i` has lost to
+    /// (Appendix A), capped at `un + 1` entries because the pruning
+    /// predicate `|losses| <= un` cannot change after that. `None` unless
+    /// [`FilterConfig::track_global_losses`] is set.
+    losses: Option<Vec<Vec<u32>>>,
+    survivors: Vec<u32>,
+    sizes: Vec<usize>,
+    rounds: usize,
+}
+
+/// What some of a round's played groups produced, in group order: made by
+/// [`FilterRounds::play`], consumed by [`FilterRounds::end_round`].
+#[derive(Debug, Default)]
+pub struct RoundResult {
+    /// Positions that met their group's threshold.
+    winners: Vec<u32>,
+    /// Each played group's champion.
+    champions: Vec<u32>,
+    /// `(loser, winner)` for each game lost by a member that can survive
+    /// the round; empty unless global losses are tracked.
+    losses: Vec<(u32, u32)>,
+}
+
+impl<'a> FilterRounds<'a> {
+    /// Starts Algorithm 2 over `elements`, all of which survive round 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.un == 0` (the maximum is always indistinguishable
+    /// from itself, so `un(n) >= 1`); debug builds also panic if
+    /// `elements` contains duplicates.
+    pub fn new(elements: &'a [ElementId], config: &FilterConfig) -> Self {
+        assert!(
+            config.un >= 1,
+            "un(n) >= 1: the maximum is indistinguishable from itself"
+        );
+        debug_assert!(
+            elements.iter().collect::<HashSet<_>>().len() == elements.len(),
+            "input elements must be distinct"
+        );
+        let n = elements.len();
+        FilterRounds {
+            ids: elements,
+            un: config.un,
+            losses: config.track_global_losses.then(|| vec![Vec::new(); n]),
+            survivors: (0..n as u32).collect(),
+            sizes: vec![n],
+            rounds: 0,
+        }
+    }
+
+    /// True while another round is due: at least `2·un` elements survive.
+    pub fn is_running(&self) -> bool {
+        self.survivors.len() >= 2 * self.un
+    }
+
+    /// The current round's index (the number of rounds completed).
+    pub fn round(&self) -> u32 {
+        self.rounds as u32
+    }
+
+    /// The size `4·un` of every group but a shorter last one.
+    pub fn group_size(&self) -> usize {
+        4 * self.un
+    }
+
+    /// The groups that play this round, indices `0..played_groups()`: all
+    /// but a last group of at most `un` members, which is too small to
+    /// certify losses and is kept whole.
+    pub fn played_groups(&self) -> usize {
+        self.tail_start().div_ceil(self.group_size())
+    }
+
+    /// Where the kept-whole tail starts in the survivor list (its length
+    /// when every group plays).
+    fn tail_start(&self) -> usize {
+        let partial = self.survivors.len() % self.group_size();
+        self.survivors.len() - if partial <= self.un { partial } else { 0 }
+    }
+
+    fn group(&self, index: usize) -> &[u32] {
+        let g = self.group_size();
+        &self.survivors[index * g..((index + 1) * g).min(self.survivors.len())]
+    }
+
+    /// Appends the `index`-th group's all-play-all pairs in canonical
+    /// order: `(a, b)` for each member `a` and each later member `b`.
+    pub fn push_pairs(&self, index: usize, pairs: &mut Vec<(ElementId, ElementId)>) {
+        let group = self.group(index);
+        for (a, &i) in group.iter().enumerate() {
+            let a_id = self.ids[i as usize];
+            pairs.extend(group[a + 1..].iter().map(|&j| (a_id, self.ids[j as usize])));
+        }
+    }
+
+    /// Plays the played groups in `groups`: `answer(index, pairs, answers)`
+    /// must push the winner of each of the group's
+    /// [`push_pairs`](Self::push_pairs) pairs, in order, onto the empty
+    /// `answers`. Each group keeps its members with at least `|G| − un`
+    /// wins and its earliest most-winning member as champion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `answer` does not push one winner per pair.
+    pub fn play<F>(&self, groups: Range<usize>, mut answer: F) -> RoundResult
+    where
+        F: FnMut(usize, &[(ElementId, ElementId)], &mut Vec<ElementId>),
+    {
+        let mut out = RoundResult::default();
+        let (mut pairs, mut answers, mut wins) = (Vec::new(), Vec::new(), Vec::new());
+        for gi in groups {
+            pairs.clear();
+            self.push_pairs(gi, &mut pairs);
+            answers.clear();
+            answer(gi, &pairs, &mut answers);
+            assert_eq!(answers.len(), pairs.len(), "one answer per pair");
+            self.score(self.group(gi), &answers, &mut wins, &mut out);
+        }
+        out
+    }
+
+    /// Scores one group from its answers: a pure function of the answers
+    /// and the loss sets' on/off switch.
+    fn score(
+        &self,
+        group: &[u32],
+        answers: &[ElementId],
+        wins: &mut Vec<u32>,
+        out: &mut RoundResult,
+    ) {
+        let m = group.len();
+        wins.clear();
+        wins.resize(m, 0);
+        // Tallying a 50/50 data-dependent winner with a branch mispredicts
+        // constantly, so count both sides arithmetically over
+        // bounds-check-free row slices (which also lets the compiler
+        // vectorize the row compare).
+        let mut rows = answers;
+        for (a, &i) in group.iter().enumerate() {
+            let a_id = self.ids[i as usize];
+            let (row, rest) = rows.split_at(m - a - 1);
+            rows = rest;
+            let mut a_wins = 0u32;
+            for (w, &winner) in wins[a + 1..].iter_mut().zip(row) {
+                let a_won = u32::from(winner == a_id);
+                a_wins += a_won;
+                *w += 1 - a_won;
+            }
+            wins[a] += a_wins;
+        }
+        // A smaller last group is filtered with its own size: Lemma 3 needs
+        // "at most un(n) losses within the group", i.e. at least |G| − un
+        // wins, not g − un.
+        let threshold = (m - self.un) as u32;
+        let before = out.winners.len();
+        out.winners
+            .extend((0..m).filter(|&x| wins[x] >= threshold).map(|x| group[x]));
+        debug_assert!(
+            out.winners.len() - before < 2 * self.un,
+            "Lemma 2 violated: {} winners with >= {threshold} wins among {m}",
+            out.winners.len() - before,
+        );
+        let champion = (1..m).fold(0, |best, x| if wins[x] > wins[best] { x } else { best });
+        out.champions.push(group[champion]);
+        if self.losses.is_some() {
+            // Appendix A: only a member that can survive the round (a
+            // threshold winner, or the champion the fallback may keep)
+            // ever has its loss set read again. Its losses are recorded in
+            // game order, as a per-game loop would record them.
+            for x in (0..m).filter(|&x| wins[x] >= threshold || x == champion) {
+                let x_id = self.ids[group[x] as usize];
+                for y in (0..m).filter(|&y| y != x) {
+                    let (a, b) = (x.min(y), x.max(y));
+                    if answers[a * m - a * (a + 1) / 2 + b - a - 1] != x_id {
+                        out.losses.push((group[x], group[y]));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Closes the round over its played groups' results, given in group
+    /// order: the kept-whole tail joins the winners, Appendix A pruning
+    /// applies, and if nothing is left each group's champion survives.
+    /// Returns the round's [`TraceEvent::RoundStats`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the round failed to shrink the survivor set, which
+    /// Lemma 2 rules out when every played group was scored.
+    pub fn end_round(&mut self, results: impl IntoIterator<Item = RoundResult>) -> TraceEvent {
+        let (un, round) = (self.un, self.round());
+        let groups = self.survivors.len().div_ceil(self.group_size()) as u32;
+        let mut next = Vec::with_capacity(self.survivors.len() / 2 + un);
+        let mut champions = Vec::new();
+        for result in results {
+            next.extend_from_slice(&result.winners);
+            champions.extend_from_slice(&result.champions);
+            if let Some(losses) = &mut self.losses {
+                for (loser, winner) in result.losses {
+                    let set = &mut losses[loser as usize];
+                    if set.len() <= un && !set.contains(&winner) {
+                        set.push(winner);
+                    }
+                }
+            }
+        }
+        let tail = &self.survivors[self.tail_start()..];
+        next.extend_from_slice(tail);
+        champions.extend_from_slice(tail);
+        if let Some(losses) = &self.losses {
+            // Lemma 1: an element with more than `un` distinct losses cannot
+            // be the maximum in a global all-play-all tournament.
+            next.retain(|&i| losses[i as usize].len() <= un);
+        }
+        if next.is_empty() {
+            // Only possible when un(n) was underestimated: no element of any
+            // group reached its threshold (or global-loss pruning removed
+            // them all). The M ∈ S guarantee is already forfeit in this
+            // regime, so degrade gracefully — keep each group's champion
+            // instead of returning an empty candidate set. Section 5.2
+            // studies exactly this regime.
+            next = champions;
+        }
+        assert!(
+            next.len() < self.survivors.len(),
+            "filter round failed to shrink the survivor set (Lemma 2 violated)"
+        );
+        self.survivors = next;
+        self.sizes.push(self.survivors.len());
+        self.rounds += 1;
+        TraceEvent::RoundStats {
+            round,
+            groups,
+            survivors: self.survivors.len() as u64,
+        }
+    }
+
+    /// The outcome so far, with the driver's comparison tally.
+    pub fn finish(self, comparisons: ComparisonCounts) -> FilterOutcome {
+        let ids = self.ids;
+        FilterOutcome {
+            survivors: self.survivors.iter().map(|&i| ids[i as usize]).collect(),
+            rounds: self.rounds,
+            sizes: self.sizes,
+            comparisons,
+        }
+    }
+}
+
 /// Runs Algorithm 2 over `elements` using naïve workers from `oracle`.
 ///
 /// Returns the candidate set and statistics. If `|elements| < 2·un` the
@@ -101,158 +384,32 @@ pub fn filter_candidates<O: ComparisonOracle>(
     filter_candidates_checked(oracle, elements, config).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The filter body behind both [`filter_candidates`] and
-/// [`try_filter_candidates`]: identical comparison sequence, but the
-/// outcome's snapshot bookkeeping reports a [`CountsRegression`] as a
-/// value instead of unwinding, so fallible job drivers can return it.
+/// The sequential driver behind [`filter_candidates`] and
+/// [`try_filter_candidates`]: one `compare` per pair, in canonical order. A
+/// [`CountsRegression`] is returned instead of unwound, so fallible job
+/// drivers can report it.
 pub(crate) fn filter_candidates_checked<O: ComparisonOracle>(
     oracle: &mut O,
     elements: &[ElementId],
     config: &FilterConfig,
 ) -> Result<FilterOutcome, CountsRegression> {
-    assert!(
-        config.un >= 1,
-        "un(n) >= 1: the maximum is indistinguishable from itself"
-    );
-    debug_assert!(
-        elements.iter().collect::<HashSet<_>>().len() == elements.len(),
-        "input elements must be distinct"
-    );
-
+    let mut rounds = FilterRounds::new(elements, config);
     let start = oracle.counts();
-    let un = config.un;
-    let g = 4 * un;
-    let n = elements.len();
-
-    // The arena: elements are referred to by their dense position in the
-    // input slice for the rest of the run. `wins` is one flat tally shared
-    // by every group (a group resets only its own slots before playing),
-    // and `losses[i]` is the capped set of distinct opponents slot `i` has
-    // lost to (Appendix A) — capped at `un + 1` entries because the pruning
-    // predicate `|losses| <= un` cannot change after that.
-    let ids = elements;
-    let mut wins: Vec<u32> = vec![0; n];
-    let mut losses: Vec<Vec<u32>> = if config.track_global_losses {
-        vec![Vec::new(); n]
-    } else {
-        Vec::new()
-    };
-
-    let mut survivors: Vec<u32> = (0..n as u32).collect();
-    let mut sizes = vec![survivors.len()];
-    let mut rounds = 0usize;
-    let mut next: Vec<u32> = Vec::new();
-    let mut champions: Vec<u32> = Vec::new();
-
-    while survivors.len() >= 2 * un {
-        oracle.observe(TraceEvent::RoundStart(rounds as u32));
-        next.clear();
-        champions.clear();
-        let groups = survivors.len().div_ceil(g);
-
-        for ci in 0..groups {
-            let group = &survivors[ci * g..((ci + 1) * g).min(survivors.len())];
-            let is_last = ci == groups - 1;
-            if is_last && group.len() <= un {
-                // Too small a group to certify losses; keep it whole.
-                next.extend_from_slice(group);
-                champions.extend_from_slice(group);
-                continue;
-            }
-            for &i in group {
-                wins[i as usize] = 0;
-            }
-            for a in 0..group.len() {
-                for b in (a + 1)..group.len() {
-                    let (i, j) = (group[a], group[b]);
-                    let winner =
-                        oracle.compare(WorkerClass::Naive, ids[i as usize], ids[j as usize]);
-                    let (wi, li) = if winner == ids[i as usize] {
-                        (i, j)
-                    } else {
-                        (j, i)
-                    };
-                    wins[wi as usize] += 1;
-                    if config.track_global_losses {
-                        let set = &mut losses[li as usize];
-                        if set.len() <= un && !set.contains(&wi) {
-                            set.push(wi);
-                        }
-                    }
-                }
-            }
-            // A smaller last group is filtered with its own size: Lemma 3
-            // needs "at most un(n) losses within the group", i.e. at least
-            // |G| − un wins, not g − un.
-            let threshold = (group.len() - un) as u32;
-            let before = next.len();
-            next.extend(
-                group
+    while rounds.is_running() {
+        let round = rounds.round();
+        oracle.observe(TraceEvent::RoundStart(round));
+        let result = rounds.play(0..rounds.played_groups(), |_, pairs, answers| {
+            answers.extend(
+                pairs
                     .iter()
-                    .copied()
-                    .filter(|&i| wins[i as usize] >= threshold),
+                    .map(|&(a, b)| oracle.compare(WorkerClass::Naive, a, b)),
             );
-            debug_assert!(
-                next.len() - before < 2 * un,
-                "Lemma 2 violated: {} winners with >= {threshold} wins among {}",
-                next.len() - before,
-                group.len()
-            );
-            champions.extend(champion_of(group, &wins));
-        }
-
-        if config.track_global_losses {
-            // Lemma 1: an element with more than `un` distinct losses cannot
-            // be the maximum in a global all-play-all tournament.
-            next.retain(|&i| losses[i as usize].len() <= un);
-        }
-
-        if next.is_empty() {
-            // Only possible when un(n) was underestimated: no element of any
-            // group reached `g - un` wins (or global-loss pruning removed
-            // them all). The M ∈ S guarantee is already forfeit in this
-            // regime, so degrade gracefully — keep each group's champion
-            // instead of returning an empty candidate set. Section 5.2
-            // studies exactly this regime.
-            std::mem::swap(&mut next, &mut champions);
-        }
-
-        assert!(
-            next.len() < survivors.len(),
-            "filter round failed to shrink the survivor set (Lemma 2 violated)"
-        );
-        std::mem::swap(&mut survivors, &mut next);
-        sizes.push(survivors.len());
-        oracle.observe(TraceEvent::RoundStats {
-            round: rounds as u32,
-            groups: groups as u32,
-            survivors: survivors.len() as u64,
         });
-        oracle.observe(TraceEvent::RoundEnd(rounds as u32));
-        rounds += 1;
+        oracle.observe(rounds.end_round([result]));
+        oracle.observe(TraceEvent::RoundEnd(round));
     }
-
-    Ok(FilterOutcome {
-        survivors: survivors.into_iter().map(|i| ids[i as usize]).collect(),
-        rounds,
-        sizes,
-        comparisons: oracle.counts().delta_since(start)?,
-    })
-}
-
-/// The group member with the most wins (ties: earliest in group order), or
-/// `None` for an empty group — the arena twin of
-/// [`Tournament::champion`](crate::tournament::Tournament::champion).
-fn champion_of(group: &[u32], wins: &[u32]) -> Option<u32> {
-    let (mut best, mut best_wins) = (None, 0u32);
-    for &i in group {
-        let w = wins[i as usize];
-        if best.is_none() || w > best_wins {
-            best = Some(i);
-            best_wins = w;
-        }
-    }
-    best
+    let comparisons = oracle.counts().delta_since(start)?;
+    Ok(rounds.finish(comparisons))
 }
 
 /// Fallible twin of [`filter_candidates`]: surfaces the first

@@ -81,7 +81,7 @@ pub fn measure(
     let sequential_platform = oracle.into_platform();
 
     let mut batched_platform = build_platform(instance, workers, planted.delta_n, seed ^ 1);
-    let batched = batched_filter(
+    batched_filter(
         &mut batched_platform,
         WorkerClass::Naive,
         &instance.ids(),
@@ -92,8 +92,8 @@ pub fn measure(
         workers,
         comparisons: batched_platform.counts().naive,
         sequential_steps: sequential_platform.physical_clock(),
-        batched_steps: batched.physical_steps,
-        batched_rounds: batched.logical_steps,
+        batched_steps: batched_platform.physical_clock(),
+        batched_rounds: batched_platform.logical_steps(),
     })
 }
 

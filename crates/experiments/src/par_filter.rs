@@ -1,43 +1,36 @@
-//! Parallel Phase-1 filtering: independent tournament groups fan out
-//! across [`engine::parallel_map`] in cache-sized chunks.
+//! Parallel Phase-1 filtering: a driver of the shared round engine
+//! ([`FilterRounds`]) that fans a round's tournament groups out across
+//! [`engine::parallel_map`] in cache-sized chunks.
 //!
-//! Algorithm 2's rounds are embarrassingly parallel *within* a round: the
-//! groups share no state, so each group's all-play-all tournament can run
-//! on its own worker thread. What a shared sequential oracle *does* share
-//! is its RNG stream — so this entry point takes an oracle **factory**
-//! instead of an oracle: every `(round, group)` pair gets a fresh oracle,
-//! deterministically derived from those coordinates alone. Seeding once
-//! per group batches the shim-RNG work (one stream set-up per group
-//! instead of a lock-stepped global stream) and makes the round's outcome
-//! independent of scheduling: results are joined in group order, so the
-//! output is **byte-identical at any `--jobs` count**.
-//!
-//! The execution is batch-first: each group's comparisons are generated
-//! into a flat pair buffer and answered through one
-//! [`ComparisonOracle::compare_batch`] call, so per-comparison bookkeeping
-//! (tally-sink feeding, dynamic dispatch through decorator stacks) is
-//! amortized to once per group. Groups are packed into chunks of roughly
-//! `CHUNK_COMPARISONS` comparisons; a chunk is one `parallel_map` work
-//! item, so work-item bookkeeping and `crowd-obs` segment capture/replay
-//! cost once per chunk rather than once per group. Chunk boundaries are
-//! invisible in the output: every group still plays under its own
-//! coordinate-seeded oracle, in group order.
+//! The groups of a round share no state, so each can play on its own
+//! thread. A shared sequential oracle would still share its RNG stream, so
+//! this entry point takes an oracle **factory**: every `(round, group)`
+//! gets a fresh oracle derived from those coordinates alone, and results
+//! are joined in group order — the output is **byte-identical at any
+//! `--jobs` count**. Each group is answered by one
+//! [`ComparisonOracle::compare_batch`] call, and a chunk of roughly
+//! `CHUNK_COMPARISONS` comparisons is one `parallel_map` work item, so
+//! per-comparison and per-item bookkeeping (tally sinks, decorator
+//! dispatch, `crowd-obs` segment capture) is amortized; chunk boundaries
+//! are invisible in the output.
 //!
 //! The price is a different (but equally valid) random realization than
-//! [`filter_candidates`](crowd_core::algorithms::filter_candidates) would produce with one sequential oracle — the
-//! two agree exactly whenever the oracle is deterministic (e.g.
+//! [`filter_candidates`](crowd_core::algorithms::filter_candidates) would
+//! produce with one sequential oracle — the two agree exactly whenever the
+//! oracle is deterministic (e.g.
 //! [`PerfectOracle`](crowd_core::oracle::PerfectOracle), or a threshold
 //! model that never reaches a tie-break), which the tests pin down.
-//!
-//! Comparison tallies still flow to the installed
+//! Comparison tallies still reach the installed
 //! [`TallySink`](crowd_core::trace::TallySink) stack: worker threads
 //! inherit the spawner's sinks through [`engine::parallel_map`].
 
 use crate::engine;
-use crowd_core::algorithms::{FilterConfig, FilterOutcome};
+use crowd_core::algorithms::{FilterConfig, FilterOutcome, FilterRounds};
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::{ComparisonCounts, ComparisonOracle};
+use crowd_platform::fault::mix;
+use std::ops::Range;
 
 /// Target comparisons per parallel work item. Each chunk's flat pair and
 /// winner buffers stay around a megabyte (inside L2), while a chunk is
@@ -53,54 +46,12 @@ pub fn group_seed(base: u64, round: u32, group: u32) -> u64 {
     mix(mix(base ^ (u64::from(round) << 32)) ^ u64::from(group))
 }
 
-/// SplitMix64 finalizer: avalanche a 64-bit word.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The merged results of one chunk of consecutive groups, joined back in
-/// chunk (= group) order.
-struct ChunkResult {
-    /// Positions (into the round's survivor list) that met the threshold,
-    /// in group order.
-    winners: Vec<u32>,
-    /// One champion per played group (earliest most-winning member).
-    champions: Vec<u32>,
-    /// `(winner, loser)` index pairs, recorded only under
-    /// [`FilterConfig::track_global_losses`].
-    games: Vec<(u32, u32)>,
-    /// Comparisons the chunk's oracles answered.
-    comparisons: ComparisonCounts,
-}
-
-/// Reusable per-chunk scratch: flat comparison/answer/win buffers shared
-/// by every group in the chunk, so a group costs zero allocations once
-/// the buffers have grown to group size.
-#[derive(Default)]
-struct ChunkBuffers {
-    /// The group's members resolved to element ids once, so the O(|G|²)
-    /// build and tally passes index a dense local table instead of
-    /// gathering `ids[group[x]]` per pair.
-    gids: Vec<ElementId>,
-    pairs: Vec<(ElementId, ElementId)>,
-    answers: Vec<ElementId>,
-    wins: Vec<u32>,
-}
-
 /// Runs Algorithm 2 with the round's tournament groups spread over worker
 /// threads in cache-sized chunks.
 ///
 /// `make_oracle(round, group)` must build the oracle for that group from
 /// its coordinates alone (typically: seed an RNG with [`group_seed`]) —
-/// that is what makes the outcome independent of the job count. Groups,
-/// thresholds, the kept-whole small last group, global-loss pruning and
-/// the champion fallback all match [`filter_candidates`]; see the module
-/// docs for when the two produce identical output.
-///
-/// [`filter_candidates`]: crowd_core::algorithms::filter_candidates
+/// that is what makes the outcome independent of the job count.
 ///
 /// # Panics
 ///
@@ -114,210 +65,48 @@ where
     O: ComparisonOracle,
     F: Fn(u32, u32) -> O + Sync,
 {
-    assert!(
-        config.un >= 1,
-        "un(n) >= 1: the maximum is indistinguishable from itself"
-    );
-    let un = config.un;
-    let g = 4 * un;
-    let n = elements.len();
-
-    let mut losses: Vec<Vec<u32>> = if config.track_global_losses {
-        vec![Vec::new(); n]
-    } else {
-        Vec::new()
-    };
-
-    let mut survivors: Vec<u32> = (0..n as u32).collect();
-    let mut sizes = vec![survivors.len()];
-    let mut rounds = 0usize;
+    let mut rounds = FilterRounds::new(elements, config);
     let mut comparisons = ComparisonCounts::zero();
+    let g = rounds.group_size();
 
-    while survivors.len() >= 2 * un {
-        let round = rounds as u32;
-        let groups = survivors.len().div_ceil(g);
-
-        // The kept-whole small last group plays no games; every group
-        // before it is played.
-        let mut inline_tail: &[u32] = &[];
-        let mut playable = groups;
-        let last = &survivors[(groups - 1) * g..];
-        if last.len() <= un {
-            inline_tail = last;
-            playable = groups - 1;
-        }
+    while rounds.is_running() {
+        let round = rounds.round();
+        let playable = rounds.played_groups();
 
         // Pack consecutive groups into chunks of ~CHUNK_COMPARISONS
         // comparisons each, capped so every worker still sees several
         // chunks (load balance beats cache residency when rounds are
         // small). Chunk boundaries never change the output: each group
         // plays under its own coordinate-seeded oracle either way.
-        let per_group = (g * g.saturating_sub(1)) / 2;
-        let by_cache = (CHUNK_COMPARISONS / per_group.max(1)).max(1);
+        let per_group = g * (g - 1) / 2;
+        let by_cache = (CHUNK_COMPARISONS / per_group).max(1);
         let by_balance = playable.div_ceil(engine::jobs().max(1) * 4).max(1);
         let chunk_len = by_cache.min(by_balance);
-        let chunks: Vec<(u32, u32)> = (0..playable as u32)
+        let chunks: Vec<Range<usize>> = (0..playable)
             .step_by(chunk_len)
-            .map(|lo| (lo, (lo + chunk_len as u32).min(playable as u32)))
+            .map(|lo| lo..(lo + chunk_len).min(playable))
             .collect();
 
-        let survivor_slice: &[u32] = &survivors;
-        let results = engine::parallel_map(chunks, |(lo, hi)| {
-            let mut out = ChunkResult {
-                winners: Vec::new(),
-                champions: Vec::new(),
-                games: Vec::new(),
-                comparisons: ComparisonCounts::zero(),
-            };
-            let mut buffers = ChunkBuffers::default();
-            for ci in lo..hi {
-                let group = &survivor_slice
-                    [ci as usize * g..((ci as usize + 1) * g).min(survivor_slice.len())];
-                let mut oracle = make_oracle(round, ci);
+        let shared = &rounds;
+        let results = engine::parallel_map(chunks, |chunk| {
+            let mut counts = ComparisonCounts::zero();
+            let result = shared.play(chunk, |gi, pairs, answers| {
+                let mut oracle = make_oracle(round, gi as u32);
                 let start = oracle.counts();
-                play_group(
-                    &mut oracle,
-                    elements,
-                    group,
-                    un,
-                    config.track_global_losses,
-                    &mut buffers,
-                    &mut out,
-                );
-                out.comparisons += oracle
+                oracle.compare_batch(WorkerClass::Naive, pairs, answers);
+                counts += oracle
                     .counts()
                     .delta_since(start)
                     .unwrap_or_else(|e| panic!("{e}"));
-            }
-            out
+            });
+            (result, counts)
         });
-
-        let mut next: Vec<u32> = Vec::with_capacity(survivors.len() / 2 + un);
-        let mut champions: Vec<u32> = Vec::new();
-        for r in &results {
-            next.extend_from_slice(&r.winners);
-            champions.extend_from_slice(&r.champions);
-            comparisons += r.comparisons;
-            for &(winner, loser) in &r.games {
-                let set = &mut losses[loser as usize];
-                if set.len() <= un && !set.contains(&winner) {
-                    set.push(winner);
-                }
-            }
-        }
-        next.extend_from_slice(inline_tail);
-        champions.extend_from_slice(inline_tail);
-
-        if config.track_global_losses {
-            next.retain(|&i| losses[i as usize].len() <= un);
-        }
-        if next.is_empty() {
-            next = champions;
-        }
-        assert!(
-            next.len() < survivors.len(),
-            "filter round failed to shrink the survivor set (Lemma 2 violated)"
-        );
-        survivors = next;
-        sizes.push(survivors.len());
-        rounds += 1;
+        rounds.end_round(results.into_iter().map(|(result, counts)| {
+            comparisons += counts;
+            result
+        }));
     }
-
-    FilterOutcome {
-        survivors: survivors
-            .into_iter()
-            .map(|i| elements[i as usize])
-            .collect(),
-        rounds,
-        sizes,
-        comparisons,
-    }
-}
-
-/// Plays one group's all-play-all tournament batch-first: the group's
-/// comparisons are generated into the chunk's flat pair buffer in the
-/// canonical `(a, b)` order, answered through one
-/// [`ComparisonOracle::compare_batch`] call, and tallied against the flat
-/// win counts — the `|G| − un` survival threshold keeps winners in group
-/// order, appended to `out`.
-fn play_group<O: ComparisonOracle>(
-    oracle: &mut O,
-    ids: &[ElementId],
-    group: &[u32],
-    un: usize,
-    record_games: bool,
-    buffers: &mut ChunkBuffers,
-    out: &mut ChunkResult,
-) {
-    buffers.gids.clear();
-    buffers.gids.extend(group.iter().map(|&i| ids[i as usize]));
-    buffers.pairs.clear();
-    buffers.answers.clear();
-    buffers.wins.clear();
-    buffers.wins.resize(group.len(), 0);
-    for a in 0..group.len() {
-        let a_id = buffers.gids[a];
-        buffers
-            .pairs
-            .extend(buffers.gids[a + 1..].iter().map(|&b| (a_id, b)));
-    }
-    oracle.compare_batch(WorkerClass::Naive, &buffers.pairs, &mut buffers.answers);
-
-    let mut game = 0usize;
-    if record_games {
-        for a in 0..group.len() {
-            let a_id = buffers.gids[a];
-            for b in (a + 1)..group.len() {
-                let winner = buffers.answers[game];
-                game += 1;
-                if winner == a_id {
-                    buffers.wins[a] += 1;
-                    out.games.push((group[a], group[b]));
-                } else {
-                    buffers.wins[b] += 1;
-                    out.games.push((group[b], group[a]));
-                }
-            }
-        }
-    } else {
-        // The hot shape: tallying a 50/50 data-dependent winner with a
-        // branch mispredicts constantly, so count both sides
-        // arithmetically over bounds-check-free row slices (which also
-        // lets the compiler vectorize the row compare).
-        for a in 0..group.len() {
-            let a_id = buffers.gids[a];
-            let row_len = group.len() - a - 1;
-            let row = &buffers.answers[game..game + row_len];
-            let opponents = &mut buffers.wins[a + 1..];
-            let mut a_wins = 0u32;
-            for (w, &winner) in opponents.iter_mut().zip(row) {
-                let a_won = u32::from(winner == a_id);
-                a_wins += a_won;
-                *w += 1 - a_won;
-            }
-            game += row_len;
-            buffers.wins[a] += a_wins;
-        }
-    }
-
-    let threshold = (group.len() - un) as u32;
-    out.winners.extend(
-        group
-            .iter()
-            .zip(&buffers.wins)
-            .filter(|&(_, &w)| w >= threshold)
-            .map(|(&i, _)| i),
-    );
-    // Earliest most-winning member, matching `Tournament::champion`.
-    let mut champion: Option<u32> = None;
-    let mut best_wins = 0u32;
-    for (&i, &w) in group.iter().zip(&buffers.wins) {
-        if champion.is_none() || w > best_wins {
-            champion = Some(i);
-            best_wins = w;
-        }
-    }
-    out.champions.extend(champion);
+    rounds.finish(comparisons)
 }
 
 #[cfg(test)]

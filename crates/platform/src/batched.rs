@@ -6,120 +6,30 @@
 //! `⌈|B_s| / |W_t|⌉` *physical* steps of wall-clock time. Driving the
 //! platform through the sequential [`ComparisonOracle`](crowd_core::oracle::ComparisonOracle) adapter submits
 //! one-unit jobs, so a tournament of `m` games takes `m` physical steps;
-//! the batched executors below submit every independent comparison of a
-//! round as a single job, so the same tournament takes `⌈m/w⌉` physical
-//! steps on a pool of `w` workers — the parallel speedup the paper's time
-//! model is about (and the measure Venetis et al. optimize).
+//! submitting every independent comparison of a round as a single job
+//! takes `⌈m/w⌉` physical steps on a pool of `w` workers — the parallel
+//! speedup the paper's time model is about (and the measure Venetis et al.
+//! optimize).
 //!
 //! Algorithm 2 is embarrassingly batchable: within a round, every group's
 //! entire all-play-all tournament is independent of every other
-//! comparison. [`batched_filter`] exploits exactly that.
+//! comparison. [`batched_filter`] drives the shared round engine
+//! ([`FilterRounds`]) with exactly that batching.
 
 use crate::platform::{Platform, PlatformError};
-use crowd_core::algorithms::FilterConfig;
+use crowd_core::algorithms::{FilterConfig, FilterOutcome, FilterRounds};
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-
-/// Win counts from one batched all-play-all tournament.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchedTournament {
-    players: Vec<ElementId>,
-    wins: Vec<u32>,
-}
-
-impl BatchedTournament {
-    /// The participants.
-    pub fn players(&self) -> &[ElementId] {
-        &self.players
-    }
-
-    /// Wins of the `i`-th participant.
-    pub fn wins(&self, i: usize) -> u32 {
-        self.wins[i]
-    }
-
-    /// Participants with at least `min_wins` wins, in input order.
-    pub fn winners_with_at_least(&self, min_wins: u32) -> Vec<ElementId> {
-        self.players
-            .iter()
-            .zip(&self.wins)
-            .filter(|&(_, &w)| w >= min_wins)
-            .map(|(&p, _)| p)
-            .collect()
-    }
-
-    /// The participant with the most wins (ties: earliest).
-    pub fn champion(&self) -> Option<ElementId> {
-        let mut best: Option<(ElementId, u32)> = None;
-        for (&p, &w) in self.players.iter().zip(&self.wins) {
-            if best.is_none_or(|(_, top)| w > top) {
-                best = Some((p, w));
-            }
-        }
-        best.map(|(p, _)| p)
-    }
-}
-
-/// Plays an all-play-all tournament as a *single* platform job: all
-/// `|players|·(|players|−1)/2` comparisons go out in one batch.
-///
-/// # Errors
-///
-/// Propagates platform failures: scheduling errors, budget exhaustion, or
-/// units left unanswered after the retry budget is spent.
-pub fn batched_all_play_all<R: RngCore>(
-    platform: &mut Platform<R>,
-    class: WorkerClass,
-    players: &[ElementId],
-) -> Result<BatchedTournament, PlatformError> {
-    let mut pairs = Vec::with_capacity(players.len() * players.len().saturating_sub(1) / 2);
-    for i in 0..players.len() {
-        for j in (i + 1)..players.len() {
-            pairs.push((players[i], players[j]));
-        }
-    }
-    let mut wins = vec![0u32; players.len()];
-    if !pairs.is_empty() {
-        let answers = platform.submit_comparisons(&pairs, class)?;
-        let index: HashMap<ElementId, usize> =
-            players.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        for (&winner, &(k, j)) in answers.iter().zip(&pairs) {
-            debug_assert!(winner == k || winner == j);
-            wins[index[&winner]] += 1;
-        }
-    }
-    Ok(BatchedTournament {
-        players: players.to_vec(),
-        wins,
-    })
-}
-
-/// The outcome of a batched Phase-1 run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchedFilterOutcome {
-    /// The candidate set.
-    pub survivors: Vec<ElementId>,
-    /// Logical steps (one per filtering round — all groups of a round
-    /// share one job).
-    pub logical_steps: u64,
-    /// Physical steps consumed (wall-clock in the paper's time model).
-    pub physical_steps: u64,
-    /// True when the platform degraded service while this filter ran
-    /// (dead-lettered units, expert-depletion fallback, …) — the survivor
-    /// set may then be larger than Lemma 3's `2·un−1` bound.
-    pub degraded: bool,
-}
 
 /// Algorithm 2 with one platform job per round: all groups' tournaments of
 /// a round are batched together, so a round of `m` comparisons costs
 /// `⌈m/w⌉` physical steps instead of `m`.
 ///
-/// Semantically identical to
-/// [`filter_candidates`](crowd_core::algorithms::filter_candidates)
-/// (without the global-loss option); only the batching differs.
+/// With deterministic workers the outcome equals
+/// [`filter_candidates`](crowd_core::algorithms::filter_candidates) over a
+/// [`PlatformOracle`](crate::PlatformOracle); only the batching, read off
+/// [`Platform::logical_steps`] and [`Platform::physical_clock`], differs.
 ///
 /// # Errors
 ///
@@ -134,87 +44,25 @@ pub fn batched_filter<R: RngCore>(
     class: WorkerClass,
     elements: &[ElementId],
     config: &FilterConfig,
-) -> Result<BatchedFilterOutcome, PlatformError> {
-    assert!(
-        config.un >= 1,
-        "un(n) >= 1: the maximum is indistinguishable from itself"
-    );
-    let un = config.un;
-    let g = 4 * un;
-    let physical_start = platform.physical_clock();
-    let logical_start = platform.logical_steps();
-    let was_degraded = platform.degraded();
-
-    let mut survivors: Vec<ElementId> = elements.to_vec();
-    while survivors.len() >= 2 * un {
-        // Build the round's batch: every pair of every group.
-        let chunks: Vec<Vec<ElementId>> = survivors.chunks(g).map(<[_]>::to_vec).collect();
-        let mut pairs = Vec::new();
-        let mut skip_whole: Vec<bool> = Vec::with_capacity(chunks.len());
-        for (ci, chunk) in chunks.iter().enumerate() {
-            let keep_whole = ci == chunks.len() - 1 && chunk.len() <= un;
-            skip_whole.push(keep_whole);
-            if keep_whole {
-                continue;
-            }
-            for i in 0..chunk.len() {
-                for j in (i + 1)..chunk.len() {
-                    pairs.push((chunk[i], chunk[j]));
-                }
-            }
+) -> Result<FilterOutcome, PlatformError> {
+    let mut rounds = FilterRounds::new(elements, config);
+    let start = platform.counts();
+    let mut pairs = Vec::new();
+    while rounds.is_running() {
+        pairs.clear();
+        for gi in 0..rounds.played_groups() {
+            rounds.push_pairs(gi, &mut pairs);
         }
         let answers = platform.submit_comparisons(&pairs, class)?;
-        let answer_of: HashMap<(ElementId, ElementId), ElementId> =
-            pairs.iter().copied().zip(answers).collect();
-
-        // Score each group from the shared answer map.
-        let mut next = Vec::new();
-        let mut champions = Vec::new();
-        for (chunk, &keep_whole) in chunks.iter().zip(&skip_whole) {
-            if keep_whole {
-                next.extend_from_slice(chunk);
-                champions.extend_from_slice(chunk);
-                continue;
-            }
-            let mut wins = vec![0u32; chunk.len()];
-            for i in 0..chunk.len() {
-                for j in (i + 1)..chunk.len() {
-                    let winner = answer_of[&(chunk[i], chunk[j])];
-                    if winner == chunk[i] {
-                        wins[i] += 1;
-                    } else {
-                        wins[j] += 1;
-                    }
-                }
-            }
-            let threshold = (chunk.len() - un) as u32;
-            for (idx, &e) in chunk.iter().enumerate() {
-                if wins[idx] >= threshold {
-                    next.push(e);
-                }
-            }
-            if let Some(best) = wins
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-                .map(|(i, _)| chunk[i])
-            {
-                champions.push(best);
-            }
-        }
-        if next.is_empty() {
-            next = champions; // same graceful degradation as the sequential filter
-        }
-        assert!(next.len() < survivors.len(), "round failed to shrink");
-        survivors = next;
+        let mut rest = answers.as_slice();
+        let result = rounds.play(0..rounds.played_groups(), |_, group_pairs, out| {
+            let (group_answers, tail) = rest.split_at(group_pairs.len());
+            out.extend_from_slice(group_answers);
+            rest = tail;
+        });
+        rounds.end_round([result]);
     }
-
-    Ok(BatchedFilterOutcome {
-        survivors,
-        logical_steps: platform.logical_steps() - logical_start,
-        physical_steps: platform.physical_clock() - physical_start,
-        degraded: platform.degraded() && !was_degraded,
-    })
+    Ok(rounds.finish(platform.counts() - start))
 }
 
 #[cfg(test)]
@@ -239,20 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_tournament_matches_values() {
-        let mut p = perfect_platform(5, 4, 1);
-        let ids: Vec<ElementId> = (0..5).map(ElementId).collect();
-        let t = batched_all_play_all(&mut p, WorkerClass::Naive, &ids).unwrap();
-        assert_eq!(t.wins(4), 4);
-        assert_eq!(t.wins(0), 0);
-        assert_eq!(t.champion(), Some(ElementId(4)));
-        assert_eq!(t.winners_with_at_least(3), vec![ElementId(3), ElementId(4)]);
-        // 10 comparisons over 4 workers → 3 physical steps, 1 logical step.
-        assert_eq!(p.logical_steps(), 1);
-        assert_eq!(p.physical_clock(), 3);
-    }
-
-    #[test]
     fn batched_filter_keeps_max_and_parallelizes() {
         let n = 200;
         let workers = 25;
@@ -263,18 +97,20 @@ mod tests {
         assert!(out.survivors.len() <= 7);
         // Parallelism: far fewer physical steps than comparisons.
         let comparisons = p.counts().naive;
+        assert_eq!(out.comparisons.naive, comparisons);
         assert!(
-            out.physical_steps <= comparisons / (workers as u64 / 2),
+            p.physical_clock() <= comparisons / (workers as u64 / 2),
             "{} physical steps for {} comparisons on {} workers",
-            out.physical_steps,
+            p.physical_clock(),
             comparisons,
             workers
         );
         // One logical step (job) per round.
+        assert_eq!(p.logical_steps(), out.rounds as u64);
         assert!(
-            out.logical_steps <= 8,
+            p.logical_steps() <= 8,
             "{} logical steps",
-            out.logical_steps
+            p.logical_steps()
         );
     }
 
@@ -299,11 +135,11 @@ mod tests {
         let mut oracle = PlatformOracle::new(sequential_p);
         let sequential = filter_candidates(&mut oracle, &ids, &FilterConfig::new(3));
 
-        assert_eq!(batched.survivors, sequential.survivors);
+        assert_eq!(batched, sequential);
         // Same comparisons, radically different wall-clock.
         let seq_platform = oracle.into_platform();
         assert_eq!(batched_p.counts().naive, seq_platform.counts().naive);
-        assert!(batched.physical_steps < seq_platform.physical_clock() / 5);
+        assert!(batched_p.physical_clock() < seq_platform.physical_clock() / 5);
     }
 
     #[test]
@@ -312,14 +148,6 @@ mod tests {
         let ids: Vec<ElementId> = (0..10).map(ElementId).collect();
         let out = batched_filter(&mut p, WorkerClass::Naive, &ids, &FilterConfig::new(3)).unwrap();
         assert!(out.survivors.contains(&ElementId(9)));
-    }
-
-    #[test]
-    fn empty_tournament_is_fine() {
-        let mut p = perfect_platform(3, 2, 5);
-        let t = batched_all_play_all(&mut p, WorkerClass::Naive, &[]).unwrap();
-        assert_eq!(t.champion(), None);
-        assert_eq!(p.logical_steps(), 0);
     }
 
     /// A platform whose naïve pool mixes honest workers with a whole
@@ -359,17 +187,18 @@ mod tests {
     fn batched_filter_survives_an_all_spammer_channel() {
         // Half the pool is one big spam channel. Gold questions flag the
         // spammers; the filter must either still honour Lemma 3's
-        // |S| <= 2·un − 1 bound, or come back flagged degraded.
+        // |S| <= 2·un − 1 bound, or the platform must report degraded
+        // service.
         let un = 3;
         let mut p = spam_infested_platform(120, 12, 12, 6);
         let ids: Vec<ElementId> = (0..120).map(ElementId).collect();
         let out = batched_filter(&mut p, WorkerClass::Naive, &ids, &FilterConfig::new(un)).unwrap();
         // |S| < 2·un is Lemma 3's |S| <= 2·un − 1.
         assert!(
-            out.survivors.len() < 2 * un || out.degraded,
+            out.survivors.len() < 2 * un || p.degraded(),
             "{} survivors with un = {un}, degraded = {}",
             out.survivors.len(),
-            out.degraded
+            p.degraded()
         );
         // Quality control earned its keep: the spam channel is flagged.
         let untrusted = p.trust().untrusted();
@@ -377,17 +206,5 @@ mod tests {
             !untrusted.is_empty(),
             "gold questions should have caught at least one spammer"
         );
-    }
-
-    #[test]
-    fn batched_tournament_survives_an_all_spammer_channel() {
-        let mut p = spam_infested_platform(30, 8, 8, 7);
-        let ids: Vec<ElementId> = (0..12).map(ElementId).collect();
-        let t = batched_all_play_all(&mut p, WorkerClass::Naive, &ids).unwrap();
-        // The tournament completes and crowns somebody; with honest
-        // workers outvoting flagged spam, wins stay consistent.
-        assert!(t.champion().is_some());
-        let total_wins: u32 = (0..ids.len()).map(|i| t.wins(i)).sum();
-        assert_eq!(total_wins as usize, ids.len() * (ids.len() - 1) / 2);
     }
 }

@@ -256,9 +256,10 @@ impl FaultPlan {
 
 /// SplitMix64 finalizer: avalanche a 64-bit word. Shared by every
 /// stateless decision stream in the platform — fault fates here, breaker
-/// cooldown jitter and per-judgment RNG seeds in [`crate::serve`] — so
-/// "seeded and stateless" means one function everywhere.
-pub(crate) fn mix(mut z: u64) -> u64 {
+/// cooldown jitter and per-judgment RNG seeds in [`crate::serve`], and the
+/// parallel Phase-1 filter's per-group seeds (`crowd_experiments::group_seed`)
+/// — so "seeded and stateless" means one function everywhere.
+pub fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

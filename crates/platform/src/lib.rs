@@ -63,7 +63,7 @@ pub mod serve;
 pub mod task;
 pub mod worker;
 
-pub use batched::{batched_all_play_all, batched_filter, BatchedFilterOutcome, BatchedTournament};
+pub use batched::batched_filter;
 pub use billing::Ledger;
 pub use chaos::{ChaosPlan, InjectionPoint};
 pub use fault::{FaultConfig, FaultPlan, JudgeFate, LatencyModel};

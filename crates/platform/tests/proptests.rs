@@ -5,7 +5,7 @@
 
 use crowd_core::cost::CostModel;
 use crowd_core::element::{ElementId, Instance};
-use crowd_core::model::WorkerClass;
+use crowd_core::model::{TiePolicy, WorkerClass};
 use crowd_core::oracle::ComparisonOracle;
 use crowd_platform::{
     batched_filter, schedule, scheduler::distinct_workers_per_unit, Behavior, Job, Platform,
@@ -21,6 +21,53 @@ fn pool_with(naive: usize, experts: usize) -> WorkerPool {
     p.hire_naive_crowd(naive, 5.0, 0.05);
     p.hire_expert_panel(experts, 0.5, 0.0);
     p
+}
+
+/// A platform over values `3·i` whose naïve workers all answer the same
+/// way: perfectly, or (`intransitive`) under `T(δ = 10, ε = 0)` with ties
+/// to the lower value, which beats anything within 10 of it and so makes
+/// cyclic tournaments.
+fn deterministic_platform(
+    n: usize,
+    workers: usize,
+    intransitive: bool,
+    seed: u64,
+) -> Platform<StdRng> {
+    let instance = Instance::new((0..n).map(|i| i as f64 * 3.0).collect());
+    let delta = if intransitive { 10.0 } else { 0.0 };
+    let mut pool = WorkerPool::new();
+    pool.hire_many(
+        workers,
+        WorkerClass::Naive,
+        "crowd",
+        Behavior::Threshold {
+            delta,
+            epsilon: 0.0,
+            tie: TiePolicy::FavorLower,
+        },
+    );
+    Platform::new(
+        instance,
+        pool,
+        PlatformConfig::paper_default().without_gold(),
+        StdRng::seed_from_u64(seed),
+    )
+}
+
+/// Appendix A pruning reaches the batched filter: at n = 40, un = 2 under
+/// intransitive workers, global-loss tracking leaves only e36, and the
+/// batched run must prune exactly as the sequential one does.
+#[test]
+fn batched_filter_prunes_global_losses_like_the_sequential_filter() {
+    use crowd_core::algorithms::{filter_candidates, FilterConfig};
+    let cfg = FilterConfig::new(2).with_global_losses();
+    let ids: Vec<ElementId> = (0..40).map(ElementId).collect();
+    let mut oracle = PlatformOracle::new(deterministic_platform(40, 10, true, 1));
+    let sequential = filter_candidates(&mut oracle, &ids, &cfg);
+    assert_eq!(sequential.survivors, vec![ElementId(36)]);
+    let mut bp = deterministic_platform(40, 10, true, 1);
+    let batched = batched_filter(&mut bp, WorkerClass::Naive, &ids, &cfg).unwrap();
+    assert_eq!(batched, sequential);
 }
 
 fn job_with(units: usize, judgments: u32) -> Job {
@@ -144,34 +191,31 @@ proptest! {
     }
 
     /// The batched filter and the sequential filter agree exactly when
-    /// workers are deterministic, and batching never changes the
+    /// workers are deterministic — perfect, or the intransitive
+    /// `T(δ = 10, ε = 0)` with ties to the lower value — with or without
+    /// Appendix A global-loss tracking, and batching never changes the
     /// comparison count — only the physical-step clock.
     #[test]
-    fn batched_filter_equals_sequential(n in 8usize..150, un_frac in 0.0f64..0.3, workers in 2usize..30, seed in any::<u64>()) {
+    fn batched_filter_equals_sequential(n in 8usize..150, un_frac in 0.0f64..0.3, workers in 2usize..30, seed in any::<u64>(), intransitive in any::<bool>(), global_losses in any::<bool>()) {
         use crowd_core::algorithms::{filter_candidates, FilterConfig};
         let un = ((n as f64 * un_frac) as usize).clamp(1, n / 2);
-        let instance = Instance::new((0..n).map(|i| i as f64 * 3.0).collect());
-        let build = || {
-            let mut pool = WorkerPool::new();
-            pool.hire_naive_crowd(workers, 0.0, 0.0); // perfect workers
-            Platform::new(
-                instance.clone(),
-                pool,
-                PlatformConfig::paper_default().without_gold(),
-                StdRng::seed_from_u64(seed),
-            )
-        };
+        let mut cfg = FilterConfig::new(un);
+        if global_losses {
+            cfg = cfg.with_global_losses();
+        }
+        let build = || deterministic_platform(n, workers, intransitive, seed);
+        let ids: Vec<ElementId> = (0..n as u32).map(ElementId).collect();
 
         let mut bp = build();
-        let batched = batched_filter(&mut bp, WorkerClass::Naive, &instance.ids(), &FilterConfig::new(un)).unwrap();
+        let batched = batched_filter(&mut bp, WorkerClass::Naive, &ids, &cfg).unwrap();
 
         let mut oracle = PlatformOracle::new(build());
-        let sequential = filter_candidates(&mut oracle, &instance.ids(), &FilterConfig::new(un));
+        let sequential = filter_candidates(&mut oracle, &ids, &cfg);
 
-        prop_assert_eq!(&batched.survivors, &sequential.survivors);
+        prop_assert_eq!(&batched, &sequential);
         let sp = oracle.into_platform();
         prop_assert_eq!(bp.counts().naive, sp.counts().naive);
-        prop_assert!(batched.physical_steps <= sp.physical_clock());
+        prop_assert!(bp.physical_clock() <= sp.physical_clock());
     }
 
     /// Under arbitrary fault pressure, retry re-assignment never hands a
